@@ -2,7 +2,7 @@
 
 Each figure/table bench reads from these cached runs, times a
 representative kernel through pytest-benchmark, and prints a
-paper-vs-measured table (also appended to ``benchmarks/results/``).
+paper-vs-measured table (also written to ``benchmarks/results/``).
 """
 
 from __future__ import annotations
@@ -37,15 +37,27 @@ from repro.eval.harness import run_batch_per_round, run_incremental
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
+@pytest.fixture(scope="session")
+def _emitted_files():
+    """Result files ``emit`` has written during this pytest session."""
+    return set()
+
+
 @pytest.fixture
-def emit(capsys):
-    """Print a report table past pytest's capture and persist it."""
+def emit(capsys, _emitted_files):
+    """Print a report table past pytest's capture and persist it.
+
+    The first write to a file in a session truncates it and later
+    writes append, so a file holds one run's tables, not every run's.
+    """
 
     def _emit(text: str, filename: str = "summary.txt") -> None:
         with capsys.disabled():
             print(text)
         RESULTS_DIR.mkdir(exist_ok=True)
-        with open(RESULTS_DIR / filename, "a") as handle:
+        mode = "a" if filename in _emitted_files else "w"
+        _emitted_files.add(filename)
+        with open(RESULTS_DIR / filename, mode) as handle:
             handle.write(text + "\n")
 
     return _emit

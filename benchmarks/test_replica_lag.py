@@ -2,22 +2,24 @@
 
 Not a paper figure: benchmarks the replication layer on the synthetic
 Access workload so future scaling PRs (async shipping, parallel
-replica apply, snapshot shipping) have numbers to beat. The primary
-ingests the stream in bursts; after each burst we record how far the
-replica has fallen behind (seq delta) and how long one `sync()` takes
-to catch it up, plus end-to-end shipped-bytes accounting. Emits a
-table and ``benchmarks/results/replica_lag.json``.
+replica apply, snapshot shipping) have numbers to beat. One tenant of
+a durable ``repro.serve.Service`` ingests the stream in bursts; after
+each burst we record how far its replicas have fallen behind (seq
+delta) and how long one ``Service.sync()`` takes to catch them up,
+plus end-to-end shipped-bytes accounting. Emits a table and
+``benchmarks/results/replica_lag.json``.
 
 Correctness is asserted only loosely here (partition equality at the
 end — the hard invariants live in ``tests/test_replica.py``); absolute
 timings are machine-dependent and deliberately not gated.
 
-The run executes with telemetry ON (one shared recorder across
-primary, shipper and replicas), so alongside the lag JSON it uploads
-the full observability artefact set: ``replica_lag_metrics.json`` (the
-merged snapshot, span p50/p95/p99 included), ``replica_lag_metrics.prom``
-(Prometheus text exposition) and ``replica_lag_trace.json`` (Chrome
-trace — load at ui.perfetto.dev).
+The run executes with telemetry ON (one shared recorder across the
+tenant pool, shipper and replicas), so alongside the lag JSON it
+uploads the full observability artefact set: ``replica_lag_metrics.json``
+(the merged snapshot, span p50/p95/p99 included),
+``replica_lag_metrics.prom`` (the recorder's typed, labeled Prometheus
+exposition — the same text ``/metrics`` serves) and
+``replica_lag_trace.json`` (Chrome trace — load at ui.perfetto.dev).
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ from repro.core import DynamicC
 from repro.data.generators import generate_access
 from repro.data.workload import OperationMix, build_workload
 from repro.eval import render_table
-from repro.obs import Histogram, Telemetry, write_metrics_json, write_metrics_prometheus
-from repro.replica import ReplicatedClusteringService
-from repro.stream import StreamConfig
+from repro.obs import Histogram, Telemetry, write_metrics_json
+from repro.serve import Service
 
 from conftest import RESULTS_DIR
 
 N_REPLICAS = 2
 BURSTS = 6
+TENANT = "access"
 
 
 def test_replica_lag(emit, tmp_path):
@@ -55,17 +57,19 @@ def test_replica_lag(emit, tmp_path):
         return DynamicC(dataset.graph(), DBIndexObjective(), seed=0)
 
     telemetry = Telemetry()
-    config = StreamConfig(
+    service = Service.open(
+        engine_factory=factory,
         n_shards=2,
         batch_max_ops=64,
         train_rounds=2,
-        oplog_path=tmp_path / "primary" / "oplog.jsonl",
-        checkpoint_dir=tmp_path / "primary" / "checkpoints",
+        root_dir=tmp_path / "state",
         telemetry=telemetry,
+        max_segment_ops=256,
     )
-    service = ReplicatedClusteringService(factory, config, max_segment_ops=256)
-    for index in range(N_REPLICAS):
-        service.add_replica(name=f"replica-{index}")
+    tenant = service.tenant(TENANT)
+    replicas = [
+        tenant.add_replica(name=f"replica-{index}") for index in range(N_REPLICAS)
+    ]
 
     ingest_latency = Histogram()
     sync_latency = Histogram()
@@ -76,13 +80,13 @@ def test_replica_lag(emit, tmp_path):
         if not chunk:
             break
         ingest_start = time.perf_counter()
-        service.ingest(chunk)
+        tenant.ingest(chunk)
         ingest_s = time.perf_counter() - ingest_start
         ingest_latency.record(ingest_s)
 
-        behind = max(s["behind"] for s in service.shipper.stats())
+        behind = max(s["behind"] for s in service.stats()["shipping"])
         sync_start = time.perf_counter()
-        applied = service.sync()
+        applied = sum(service.sync(heartbeat=True)["applied"].values())
         sync_s = time.perf_counter() - sync_start
         sync_latency.record(sync_s)
         rows.append(
@@ -95,27 +99,28 @@ def test_replica_lag(emit, tmp_path):
                 "sync_s": sync_s,
                 "catchup_ops_per_s": applied / sync_s if sync_s > 0 else 0.0,
                 "max_seq_delta_after": max(
-                    lag["seq_delta"] for lag in service.lag()
+                    replica.lag()["seq_delta"] for replica in replicas
                 ),
                 "max_visibility_lag_s_after": max(
-                    lag["visibility_lag_s"]
-                    for lag in service.lag()
-                    if lag["visibility_lag_s"] is not None
+                    replica.lag()["visibility_lag_s"]
+                    for replica in replicas
+                    if replica.lag()["visibility_lag_s"] is not None
                 ),
             }
         )
 
-    service.flush()
-    service.sync()
-    primary_partition = service.primary.partition()
-    for replica in service.replicas:
+    tenant.flush()
+    service.sync(heartbeat=True)
+    primary_partition = tenant.partition()
+    for replica in replicas:
         assert replica.partition() == primary_partition
         assert replica.lag()["seq_delta"] == 0
 
-    # Per-node e2e visibility percentiles (primary ingest → queryable
-    # on that node), straight from the shared recorder.
+    # Per-node e2e visibility percentiles (ingest → queryable on that
+    # node: the tenant pool and each replica), straight from the shared
+    # recorder.
     visibility = telemetry.snapshot()["metrics"]["e2e_visibility_seconds"]
-    expected_nodes = {"replica=primary"} | {
+    expected_nodes = {f"replica={service.config.node_name}:{TENANT}"} | {
         f"replica=replica-{index}" for index in range(N_REPLICAS)
     }
     assert set(visibility) == expected_nodes
@@ -166,13 +171,13 @@ def test_replica_lag(emit, tmp_path):
                             "applied_watermark_ts": lag["applied_watermark_ts"],
                             "visibility_lag_s": lag["visibility_lag_s"],
                         }
-                        for lag in service.lag()
+                        for lag in (replica.lag() for replica in replicas)
                     },
                 },
                 "final": {
-                    "primary_oplog_bytes": service.primary.stats()["oplog_bytes"],
+                    "primary_oplog_bytes": service.stats()["oplog"]["bytes"],
                     "clusters": len(primary_partition),
-                    "shipping": service.shipper.stats(),
+                    "shipping": service.stats()["shipping"],
                 },
             },
             handle,
@@ -181,18 +186,19 @@ def test_replica_lag(emit, tmp_path):
         handle.write("\n")
 
     # The observability artefact set for CI upload: one merged snapshot
-    # (metrics + recent spans) over the whole primary→shipper→replica
-    # pipeline, its Prometheus exposition, and the Chrome trace.
+    # (metrics + recent spans) over the whole tenant→shipper→replica
+    # pipeline, the recorder's Prometheus exposition, and the Chrome
+    # trace.
     merged = service.stats()
     write_metrics_json(RESULTS_DIR / "replica_lag_metrics.json", merged)
-    write_metrics_prometheus(RESULTS_DIR / "replica_lag_metrics.prom", merged)
+    (RESULTS_DIR / "replica_lag_metrics.prom").write_text(telemetry.to_prometheus())
     telemetry.write_chrome_trace(RESULTS_DIR / "replica_lag_trace.json")
     span_names = {
         name.split("=", 1)[1]
-        for name in merged["primary"]["telemetry"]["metrics"]["span_seconds"]
+        for name in merged["telemetry"]["metrics"]["span_seconds"]
     }
     # The shared recorder really did see every pipeline stage.
-    assert {"stream.ingest", "shard.apply", "ship.publish", "replica.poll"} <= span_names
+    assert {"serve.ingest", "shard.apply", "ship.publish", "replica.poll"} <= span_names
 
     # Sanity floors only — the trajectory lives in the JSON artefact.
     assert all(r["catchup_ops_per_s"] > 0 for r in rows)

@@ -1,13 +1,14 @@
 """A tour of the live operational surface: HTTP endpoints, health,
 structured logs, and freshness watermarks.
 
-Boots a replicated DynamicC topology with ``obs_server=`` and scrapes
-its own endpoints the way a monitoring stack would, printing what came
-back at each step: the Prometheus exposition (watch the
-``e2e_visibility_seconds{replica=...}`` quantiles — seconds from
-primary ingest to queryable on each node), the health report behind
-``/readyz``, and the structured log lines the service emitted along
-the way. Then it breaks the oplog on purpose to show readiness flip to
+Boots a multi-tenant ``repro.serve.Service`` with a tenant replica and
+``obs_server=``, then scrapes its own endpoints the way a monitoring
+stack would, printing what came back at each step: the Prometheus
+exposition (watch the ``e2e_visibility_seconds{replica=...}``
+quantiles — seconds from ingest to queryable on each node), the health
+report behind ``/readyz`` (including the replica's ``replica:r0`` lag
+check), and the structured log lines the service emitted along the
+way. Then it breaks the oplog on purpose to show readiness flip to
 503 while liveness stays 200:
 
     python examples/operational_surface.py
@@ -29,8 +30,7 @@ from repro.clustering.objectives import DBIndexObjective
 from repro.core import DynamicC
 from repro.data.generators import generate_access
 from repro.data.workload import OperationMix, build_workload
-from repro.replica import ReplicatedClusteringService
-from repro.stream import StreamConfig
+from repro.serve import Service
 
 
 def scrape(address, path):
@@ -63,28 +63,26 @@ def factory():
 # ---------------------------------------------------------------------------
 log_lines = io.StringIO()
 state_dir = pathlib.Path(tempfile.mkdtemp(prefix="repro-ops-"))
-service = ReplicatedClusteringService(
-    factory,
-    StreamConfig(
-        n_shards=2,
-        batch_max_ops=48,
-        train_rounds=2,
-        oplog_path=state_dir / "oplog.jsonl",
-        checkpoint_dir=state_dir / "checkpoints",
-        telemetry="on",
-        obs_server="127.0.0.1:0",
-        log_stream=log_lines,
-    ),
+service = Service.open(
+    engine_factory=factory,
+    n_shards=2,
+    batch_max_ops=48,
+    train_rounds=2,
+    root_dir=state_dir,
+    telemetry="on",
+    obs_server="127.0.0.1:0",
+    log_stream=log_lines,
 )
-service.add_replica(name="r0")
+tenant = service.tenant("demo")
+tenant.add_replica(name="r0")
 address = service.obs_address
 print(f"operational surface live at http://{address}\n")
 
 # ---------------------------------------------------------------------------
 # 2. Push a workload through and let the replica catch up.
 # ---------------------------------------------------------------------------
-service.ingest(events[:400])
-service.flush()
+tenant.ingest(events[:400])
+tenant.flush()
 service.sync()
 service.checkpoint()
 
@@ -105,7 +103,7 @@ status, body = scrape(address, "/readyz")
 report = json.loads(body)
 print(f"\nGET /readyz -> {status} ({report['status']})")
 for name, check in report["checks"].items():
-    print(f"  {name:14s} {check['status']:9s} {check['detail']}")
+    print(f"  {name:16s} {check['status']:9s} {check['detail']}")
 
 # ---------------------------------------------------------------------------
 # 5. The structured log: one JSON object per line; lines emitted inside
@@ -119,7 +117,7 @@ for line in log_lines.getvalue().splitlines()[:3]:
 # 6. Break the oplog on purpose: readiness flips to 503 so a balancer
 #    pulls the node, liveness stays 200 so nothing restarts it.
 # ---------------------------------------------------------------------------
-service.primary.oplog._handle.close()
+service.manager.oplog._handle.close()
 ready_status, _ = scrape(address, "/readyz")
 alive_status, _ = scrape(address, "/healthz")
 print(f"\nafter killing the oplog handle: /readyz -> {ready_status}, "

@@ -1,20 +1,19 @@
 #!/usr/bin/env python
 """CI smoke test for the live operational surface.
 
-Two stages, each starting a real service with ``obs_server=`` on a
-free loopback port, pushing a workload through it, then scraping the
-endpoints over actual HTTP exactly the way a monitoring stack would:
+Starts a replicated multi-tenant ``repro.serve.Service`` with
+``obs_server=`` on a free loopback port, pushes a workload through it
+(one tenant replica attached and synced), then scrapes the endpoints
+over actual HTTP exactly the way a monitoring stack would:
 
-1. the deprecated primary/replica façade (``ReplicatedClusteringService``
-   — must keep scraping identically through its migration window);
-2. the multi-tenant ``repro.serve.Service`` front door — the tenant-
-   labeled families (``tenant_ops_total``, ``quota_rejections_total``,
-   ``resident_tenants``…) and per-tenant health probes must be live.
-
-For both: ``/metrics`` must answer 200 with parseable Prometheus text
-containing the expected families; ``/metrics.json`` and ``/traces``
-must answer 200 with valid JSON; ``/healthz`` must answer 200; and
-``/readyz`` must answer 200 with every health check reporting.
+* ``/metrics`` must answer 200 with parseable Prometheus text carrying
+  the tenant-labeled families (``tenant_ops_total``,
+  ``quota_rejections_total``, ``resident_tenants``…) and the freshness
+  families (``e2e_visibility_seconds``, commit/applied watermarks);
+* ``/metrics.json`` and ``/traces`` must answer 200 with valid JSON;
+* ``/healthz`` must answer 200;
+* ``/readyz`` must answer 200 with every health check reporting —
+  per-tenant probes and the replica's ``replica:t0`` lag check.
 
 Exits non-zero (with a reason on stderr) on any failed expectation —
 wired into CI so "the scrape broke" is a red build, not a 3 a.m. page.
@@ -35,15 +34,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.clustering.objectives import DBIndexObjective  # noqa: E402
 from repro.core import DynamicC  # noqa: E402
 from repro.data.generators import generate_access  # noqa: E402
-from repro.data.workload import (  # noqa: E402
-    OperationMix,
-    build_workload,
-    tenant_stream,
-)
+from repro.data.workload import OperationMix, tenant_stream  # noqa: E402
 from repro.errors import QuotaExceeded  # noqa: E402
-from repro.replica import ReplicatedClusteringService  # noqa: E402
 from repro.serve import Service  # noqa: E402
-from repro.stream import StreamConfig  # noqa: E402
 
 
 def fail(reason: str) -> None:
@@ -93,65 +86,9 @@ def validate_prometheus(text: str) -> dict[str, int]:
     return counts
 
 
-def facade_stage(dataset, factory) -> None:
-    """Stage 1: the deprecated primary/replica façade still scrapes."""
-    workload = build_workload(
-        dataset,
-        initial_count=80,
-        n_snapshots=4,
-        mixes=OperationMix(add=0.12, remove=0.03, update=0.03),
-        seed=2,
-    )
-    with TemporaryDirectory() as scratch:
-        root = Path(scratch)
-        service = ReplicatedClusteringService(
-            factory,
-            StreamConfig(
-                n_shards=2,
-                batch_max_ops=48,
-                train_rounds=2,
-                oplog_path=root / "oplog.jsonl",
-                checkpoint_dir=root / "checkpoints",
-                telemetry="on",
-                obs_server="127.0.0.1:0",
-            ),
-        )
-        try:
-            service.add_replica(name="r0")
-            service.ingest(workload.event_stream()[:200])
-            service.flush()
-            service.sync()
-            address = service.obs_address
-            print(f"scraping http://{address}", file=sys.stderr)
-
-            counts = validate_prometheus(scrape(address, "/metrics").decode())
-            for family in (
-                "repro_e2e_visibility_seconds",
-                "repro_commit_watermark_ts",
-                "repro_applied_watermark_ts",
-            ):
-                if family not in counts:
-                    fail(f"{family} missing from /metrics")
-
-            json.loads(scrape(address, "/metrics.json"))
-            trace = json.loads(scrape(address, "/traces"))
-            if "traceEvents" not in trace:
-                fail("/traces is not a Chrome trace")
-            json.loads(scrape(address, "/healthz"))
-
-            report = json.loads(scrape(address, "/readyz"))
-            if not report.get("ready"):
-                fail(f"/readyz not ready: {report}")
-            if "replica:r0" not in report.get("checks", {}):
-                fail(f"replica check missing from /readyz: {report}")
-        finally:
-            service.close()
-    print("facade surface OK", file=sys.stderr)
-
-
 def serve_stage(dataset, factory) -> None:
-    """Stage 2: the multi-tenant Service front door scrapes with
-    tenant-labeled families and per-tenant health probes."""
+    """The Service front door scrapes with tenant-labeled and freshness
+    families, per-tenant health probes and the replica lag check."""
     stream = tenant_stream(
         dataset,
         n_tenants=3,
@@ -196,6 +133,9 @@ def serve_stage(dataset, factory) -> None:
                 "repro_quota_rejections_total",
                 "repro_tenant_activations_total",
                 "repro_resident_tenants",
+                "repro_e2e_visibility_seconds",
+                "repro_commit_watermark_ts",
+                "repro_applied_watermark_ts",
             ):
                 if family not in counts:
                     fail(f"{family} missing from serve /metrics")
@@ -212,7 +152,7 @@ def serve_stage(dataset, factory) -> None:
             if not report.get("ready"):
                 fail(f"serve /readyz not ready: {report}")
             checks = report.get("checks", {})
-            for check in ("oplog", "residency", "tenant:tenant-000"):
+            for check in ("oplog", "residency", "tenant:tenant-000", "replica:t0"):
                 if check not in checks:
                     fail(f"{check!r} check missing from serve /readyz: {report}")
         finally:
@@ -226,7 +166,6 @@ def main() -> int:
     def factory():
         return DynamicC(dataset.graph(), DBIndexObjective(), seed=0)
 
-    facade_stage(dataset, factory)
     serve_stage(dataset, factory)
     print("obs smoke OK", file=sys.stderr)
     return 0

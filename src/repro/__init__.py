@@ -26,16 +26,17 @@ Public API tour
   operation log (WAL, JSONL or sqlite backed), micro-batcher,
   hash-routed engine pool, checkpoint/recovery, metrics, and the
   :class:`~repro.stream.ClusteringService` façade.
-* :mod:`repro.replica` — replication on top of the log: oplog shipping
-  over pluggable transports, read replicas with explicit lag, and the
-  :class:`~repro.replica.ReplicatedClusteringService` primary/replica
-  façade with follower→primary failover.
+* :mod:`repro.replica` — replication primitives on top of the log:
+  oplog shipping over pluggable transports, read replicas with explicit
+  lag and follower→primary failover (:meth:`ReadReplica.promote`), and
+  the cross-process mailbox follower.
 * :mod:`repro.serve` — **the public front door**: multi-tenant
   namespaces behind one :class:`~repro.serve.Service` — per-tenant
   engine pools over a shared tenant-stamped log, admission quotas,
   LRU activation, tenant-filtered replicas, and one consolidated
-  :class:`~repro.serve.ServeConfig`. The older per-layer façades keep
-  working with a ``DeprecationWarning``.
+  :class:`~repro.serve.ServeConfig`. The older
+  :class:`~repro.stream.ClusteringService` façade keeps working with a
+  ``DeprecationWarning``.
 """
 
 from repro.clustering import Clustering
@@ -63,7 +64,7 @@ from repro.errors import (
     UnknownTenantError,
 )
 from repro.faults import CircuitBreaker, ErrorInjector, FaultInjector, RetryPolicy
-from repro.replica import ReadReplica, ReplicatedClusteringService
+from repro.replica import ReadReplica
 from repro.serve import ServeConfig, Service, TenantHandle, TenantManager
 from repro.similarity import SimilarityGraph
 from repro.stream import ClusteringService, Operation, StreamConfig
@@ -94,7 +95,6 @@ __all__ = [
     "Operation",
     "QuotaExceeded",
     "ReadReplica",
-    "ReplicatedClusteringService",
     "RetryPolicy",
     "ServeConfig",
     "ServeError",

@@ -40,7 +40,7 @@ sharing at least one stored edge can profitably merge under any of the
 paper's objectives, and only the objects with the weakest link to their
 cluster are split candidates.
 
-When an :class:`~repro.core.evolution.EvolutionLog` is supplied, every
+When an :class:`~repro.evolution.EvolutionLog` is supplied, every
 applied change is recorded (merges and splits; moves decompose into a
 split followed by a merge per §4.1), which is exactly the historical
 cluster evolution DynamicC trains on.

@@ -1,9 +1,10 @@
 """DynamicC core: the paper's primary contribution."""
 
+from repro.evolution import EvolutionLog, MergeOp, SplitOp
+
 from .config import DynamicCConfig
 from .density import DBSCANBatchAdapter, DensityObjective, make_dynamic_dbscan
 from .dynamicc import DynamicC, ObservationStats, RoundStats
-from .evolution import EvolutionLog, MergeOp, SplitOp
 from .features import (
     MERGE_FEATURE_NAMES,
     SPLIT_FEATURE_NAMES,

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.clustering.state import Clustering
+from repro.evolution import EvolutionLog, MergeOp, SplitOp
 from repro.ml.base import BinaryClassifier
 
 from .config import DynamicCConfig
-from .evolution import EvolutionLog, MergeOp, SplitOp
 from .features import ClusterFeatures, cluster_features
 from .sampling import sample_negatives
 from .transformation import derive_transformation

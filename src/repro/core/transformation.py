@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .evolution import EvolutionLog, MergeOp, SplitOp
+from repro.evolution import EvolutionLog, MergeOp, SplitOp
 
 Partition = Iterable[Iterable[int]]
 

@@ -5,8 +5,8 @@ Five layers, one import:
 * :mod:`repro.obs.metrics` — labeled :class:`Counter` / :class:`Gauge` /
   log-bucketed :class:`Histogram` (streaming p50/p95/p99) primitives in
   a composable :class:`MetricsRegistry`, with a Prometheus-style text
-  exposition (``# HELP``/``# TYPE`` headers, escaped label values), a
-  generic snapshot→exposition flattener, and JSON artifact writers;
+  exposition (``# HELP``/``# TYPE`` headers, escaped label values) and
+  a JSON artifact writer;
 * :mod:`repro.obs.tracing` — the span API (``with tracer.span(...)``),
   a bounded ring buffer of recent spans with an eviction counter, and a
   Chrome-trace-event (`chrome://tracing`) JSON exporter;
@@ -73,9 +73,7 @@ from .metrics import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    snapshot_to_prometheus,
     write_metrics_json,
-    write_metrics_prometheus,
 )
 from .server import ObsServer, parse_listen
 from .telemetry import (
@@ -115,7 +113,5 @@ __all__ = [
     "make_telemetry",
     "ok",
     "parse_listen",
-    "snapshot_to_prometheus",
     "write_metrics_json",
-    "write_metrics_prometheus",
 ]

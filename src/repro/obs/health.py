@@ -22,9 +22,9 @@ Two endpoint semantics are derived from one registry (see
 The standard service checks (oplog appendable, checkpoint store
 writable, shard backlog bounded, replica lag bounded) are built by the
 ``check_*`` factories below and wired up by
-:class:`~repro.stream.service.ClusteringService` /
-:class:`~repro.replica.service.ReplicatedClusteringService` when
-``StreamConfig.obs_server`` is set.
+:class:`~repro.stream.service.ClusteringService`,
+:class:`~repro.replica.ReadReplica` and :class:`~repro.serve.Service`
+(one ``replica:<name>`` lag check per attached tenant replica).
 """
 
 from __future__ import annotations

@@ -320,55 +320,9 @@ def _sanitize(name: str) -> str:
     return _SANITIZE.sub("_", name)
 
 
-# ---------------------------------------------------------------------------
-# Snapshot flattener: any stats() dict → Prometheus-style exposition
-# ---------------------------------------------------------------------------
-def snapshot_to_prometheus(snapshot: dict, prefix: str = "repro") -> str:
-    """Flatten an arbitrary nested stats()/snapshot() dict to text metrics.
-
-    Every numeric leaf becomes one ``path_to_leaf value`` sample (bools
-    as 0/1); list elements get an ``index`` label; strings and ``None``
-    are skipped. Samples sharing a flattened name are grouped under one
-    ``# HELP`` / ``# TYPE <name> untyped`` header pair (the text format
-    requires all samples of a metric to be contiguous below its
-    metadata). This is the bridge that exports the *existing* service
-    snapshots — not just obs-native registries — to a scrape endpoint or
-    a ``metrics.prom`` artifact.
-    """
-    samples: dict[str, list[str]] = {}
-    _flatten(prefix, {}, snapshot, samples)
-    lines: list[str] = []
-    for name, entries in samples.items():
-        lines.append(f"# HELP {name} {_escape_help(name.replace('_', ' '))}")
-        lines.append(f"# TYPE {name} untyped")
-        lines.extend(entries)
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def _flatten(
-    path: str, labels: dict[str, str], node: Any, samples: dict[str, list[str]]
-) -> None:
-    if isinstance(node, bool):
-        samples.setdefault(path, []).append(f"{path}{_label_str(labels)} {int(node)}")
-    elif isinstance(node, (int, float)):
-        samples.setdefault(path, []).append(f"{path}{_label_str(labels)} {node}")
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            _flatten(f"{path}_{_sanitize(str(key))}", labels, value, samples)
-    elif isinstance(node, (list, tuple)):
-        for index, value in enumerate(node):
-            _flatten(path, dict(labels, index=str(index)), value, samples)
-    # strings / None: not a metric
-
-
 def write_metrics_json(path, snapshot: dict) -> None:
     """Write a snapshot dict as a JSON artifact (benchmark/CI uploads)."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(snapshot, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-
-def write_metrics_prometheus(path, snapshot: dict, prefix: str = "repro") -> None:
-    """Write a snapshot dict as a ``.prom`` text-exposition artifact."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(snapshot_to_prometheus(snapshot, prefix=prefix))

@@ -16,9 +16,8 @@ disabled cost is one attribute lookup; warm paths may simply
 allocation-free context manager.
 
 Pass ``StreamConfig(telemetry="on")`` (or a shared :class:`Telemetry`
-instance — how :class:`~repro.replica.ReplicatedClusteringService`
-merges primary, shipper and replica telemetry into one snapshot) to
-enable collection.
+instance — how :class:`~repro.serve.Service` merges tenant, shipper
+and replica telemetry into one snapshot) to enable collection.
 """
 
 from __future__ import annotations

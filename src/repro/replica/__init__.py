@@ -19,21 +19,20 @@ reads*. This package turns that property into a primary/replica system:
   bootstrap/re-sync from shipped snapshots, gap-refusing tailing,
   explicit :meth:`~ReadReplica.lag`, and :meth:`~ReadReplica.promote`
   failover;
-* :mod:`repro.replica.service` — :class:`ReplicatedClusteringService`,
-  the one-primary/N-replica façade with round-robin read routing,
-  self-healing :meth:`~ReplicatedClusteringService.sync`,
-  snapshot-bounded :meth:`~ReplicatedClusteringService.compact`, and —
-  with ``StreamConfig(obs_server=...)`` — one topology-wide HTTP
-  operational surface (metrics, traces, per-replica health);
 * :mod:`repro.replica.follower` — :class:`FollowerDaemon` /
   ``python -m repro.replica.follower``: a standalone mailbox follower
   on a poll timer, serving its own endpoints, with readiness gated on
   bootstrap.
+
+These are primitives. In-process replication is wired through the one
+front door, :class:`repro.serve.Service` (``tenant(...).add_replica()``,
+``sync()``, ``compact()``); failover is :meth:`ReadReplica.promote` and
+a cross-process follower is :class:`LogShipper` +
+:class:`MailboxTransport` + ``python -m repro.replica.follower``.
 """
 
 from .replica import ReadReplica
 from .segment import LogSegment, ReplicationGap, SnapshotArtifact
-from .service import ReplicatedClusteringService
 from .shipper import LogShipper
 from .transport import InProcessTransport, MailboxTransport, Transport
 
@@ -55,7 +54,6 @@ __all__ = [
     "LogShipper",
     "MailboxTransport",
     "ReadReplica",
-    "ReplicatedClusteringService",
     "ReplicationGap",
     "SnapshotArtifact",
     "Transport",

@@ -18,10 +18,10 @@ The redesigned public API over the streaming/replication stack:
   :class:`ConfigError`, :class:`QuotaExceeded`,
   :class:`UnknownTenantError`), re-exported for convenience.
 
-The pre-serve façades — ``repro.stream.ClusteringService`` and
-``repro.replica.ReplicatedClusteringService`` — keep working unchanged
-this release and emit a ``DeprecationWarning`` pointing here; see the
-README's "Service API" migration table.
+The pre-serve ``repro.stream.ClusteringService`` keeps working this
+release and emits a ``DeprecationWarning`` pointing here. Replication
+is ``tenant(...).add_replica()`` plus the :mod:`repro.replica`
+primitives; see the README's "Service API" migration table.
 """
 
 from repro.errors import (

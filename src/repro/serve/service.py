@@ -19,9 +19,13 @@ surface, all configured by one :class:`~repro.serve.ServeConfig`. A
 safe to hold across evictions (the pool reloads lazily on the next
 touch).
 
-The pre-serve façades (``repro.stream.ClusteringService``,
-``repro.replica.ReplicatedClusteringService``) keep working unchanged
-this release; constructing them directly emits a
+Replication has no separate front door: ``tenant(...).add_replica()``,
+:meth:`Service.sync` and :meth:`Service.compact` cover in-process
+followers, and the :mod:`repro.replica` primitives (``LogShipper``,
+``ReadReplica.promote()``, ``MailboxTransport``,
+``python -m repro.replica.follower``) cover failover and cross-process
+followers. The pre-serve ``repro.stream.ClusteringService`` keeps
+working this release; constructing it directly emits a
 ``DeprecationWarning`` pointing here.
 """
 

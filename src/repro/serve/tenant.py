@@ -52,7 +52,13 @@ from repro.errors import (
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.inject import fire
 from repro.faults.retry import RetryPolicy
-from repro.obs.health import HealthRegistry, check_oplog, degraded, ok
+from repro.obs.health import (
+    HealthRegistry,
+    check_oplog,
+    check_replica_lag,
+    degraded,
+    ok,
+)
 from repro.obs.logging import NULL_LOGGER, StructuredLogger
 from repro.obs.telemetry import make_telemetry
 from repro.replica.replica import ReadReplica
@@ -443,6 +449,10 @@ class TenantManager:
                     for offset, op in enumerate(stamped)
                 ]
                 self._next_seq += len(stamped)
+            if stamped:  # accepted = logged, as on a solo primary
+                entry.service._commit_watermark.labels(
+                    replica=entry.service.node_name
+                ).set(stamped[-1].ingest_ts)
             entry.service.apply_logged(stamped)
         accepted = len(stamped)
         self._ops_total += accepted
@@ -738,7 +748,8 @@ class TenantManager:
         The follower bootstraps from the tenant's newest checkpoint (if
         any) and then tails full-log segments, applying only this
         tenant's stamped slice — so its partition converges on exactly
-        the tenant's primary state after :meth:`sync`.
+        the tenant's primary state after :meth:`sync`. Its lag is a
+        ``replica:<name>`` check on :attr:`health` (``/readyz``).
         """
         if self._shipper is None:
             raise RuntimeError(
@@ -765,6 +776,14 @@ class TenantManager:
         )
         self._shipper.attach(transport, from_seq=replica.received_seq)
         self._replicas[name] = replica
+        self.health.register(
+            f"replica:{name}",
+            check_replica_lag(
+                replica.lag,
+                max_seq_delta=replica.max_lag_ops,
+                max_staleness_s=replica.max_staleness_s,
+            ),
+        )
         if self.logger.enabled:
             self.logger.info(
                 "replica_attached",

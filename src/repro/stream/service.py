@@ -63,9 +63,9 @@ from .shard import EngineFactory, StreamShard
 # ---------------------------------------------------------------------------
 # Deprecation plumbing for the pre-serve façades
 # ---------------------------------------------------------------------------
-# ClusteringService (and ReplicatedClusteringService on top of it) remain
-# the engine rooms of the stack, but the *public front door* is now
-# ``repro.serve.Service``. Direct construction of the old façades warns;
+# ClusteringService remains the per-tenant engine room of the stack, but
+# the *public front door* is now ``repro.serve.Service``. Direct
+# construction of the old façade warns;
 # the serve/replica layers construct them inside ``_internal_construction``
 # so internal reuse stays silent — a user sees exactly one warning per
 # deprecated entry point they themselves call.
@@ -151,8 +151,8 @@ class StreamConfig:
         buffer into a fresh :class:`repro.obs.Telemetry`; passing a
         :class:`repro.obs.Telemetry` *instance* shares one collection
         point across services (primary + replicas + shipper), which is
-        how :class:`~repro.replica.ReplicatedClusteringService` merges
-        the whole topology into a single snapshot.
+        how :class:`repro.serve.Service` merges the whole topology into
+        a single snapshot.
     obs_server:
         ``"host:port"`` to serve the operational surface over HTTP
         (``/metrics``, ``/metrics.json``, ``/traces``, ``/healthz``,
@@ -582,8 +582,7 @@ class ClusteringService:
         """Telemetry snapshot plus live engine/stream gauges.
 
         The canonical cross-layer shape (shared with
-        :class:`~repro.replica.ReadReplica`,
-        :class:`~repro.replica.ReplicatedClusteringService` and
+        :class:`~repro.replica.ReadReplica` and
         :class:`repro.serve.Service`): ``ops_total``, ``backlog``, the
         ``p50_s``/``p95_s``/``p99_s`` trio, and nested per-component
         dicts. ``legacy=True`` — the default for this release, flipping

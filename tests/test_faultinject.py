@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from faultinject import FaultInjector, InjectedCrash, sample_crash_points, tear_file
-from repro.faults import ErrorInjector, FaultSpec
+from repro.faults import (
+    ErrorInjector,
+    FaultInjector,
+    FaultSpec,
+    InjectedCrash,
+    sample_crash_points,
+    tear_file,
+)
 from repro.replica import LogSegment, MailboxTransport, SnapshotArtifact
 from repro.stream import add, open_checkpoints
 from repro.stream.oplog import OperationLog

@@ -1,6 +1,6 @@
 """Tests for `repro.obs`: metric primitives, tracing, the telemetry
 bundle, and the end-to-end acceptance invariant — one fault-harness run
-of the replicated topology produces a single merged snapshot covering
+of a replicated `Service` produces a single merged snapshot covering
 every pipeline stage with p50/p95/p99 on every latency series, plus a
 loadable Chrome trace."""
 
@@ -16,6 +16,7 @@ from repro.clustering.objectives import DBIndexObjective
 from repro.core import DynamicC
 from repro.data.generators import generate_access
 from repro.data.workload import OperationMix, build_workload
+from repro.faults import FaultInjector
 from repro.obs import (
     Counter,
     Gauge,
@@ -27,15 +28,11 @@ from repro.obs import (
     Telemetry,
     Tracer,
     make_telemetry,
-    snapshot_to_prometheus,
     write_metrics_json,
-    write_metrics_prometheus,
 )
 from repro.obs.tracing import NULL_SPAN
-from repro.replica import ReplicatedClusteringService
+from repro.serve import Service
 from repro.stream import ClusteringService, StreamConfig
-
-from faultinject import FaultInjector
 
 
 # ---------------------------------------------------------------------------
@@ -173,27 +170,10 @@ class TestLabelsAndRegistry:
         assert 'repro_latency_count{op="apply"} 1' in text
         assert "repro_shipper_segments 1" in text
 
-    def test_snapshot_flattener_handles_service_shapes(self):
-        snapshot = {
-            "applied_seq": 42,
-            "fsync": True,
-            "router": "least-loaded",  # strings are skipped
-            "shards": [{"objects": 3}, {"objects": 5}],
-            "oplog": {"bytes": None},  # None is skipped
-        }
-        text = snapshot_to_prometheus(snapshot, prefix="repro")
-        assert "repro_applied_seq 42" in text
-        assert "repro_fsync 1" in text
-        assert 'repro_shards_objects{index="0"} 3' in text
-        assert 'repro_shards_objects{index="1"} 5' in text
-        assert "least-loaded" not in text and "None" not in text
-
     def test_artifact_writers(self, tmp_path):
         snapshot = {"events": 3, "latency": {"p50": 0.1}}
         write_metrics_json(tmp_path / "m.json", snapshot)
-        write_metrics_prometheus(tmp_path / "m.prom", snapshot)
         assert json.loads((tmp_path / "m.json").read_text()) == snapshot
-        assert "repro_latency_p50 0.1" in (tmp_path / "m.prom").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +381,7 @@ class TestEndToEndAcceptance:
     def test_fault_harness_run_yields_one_merged_snapshot(self, tmp_path):
         """The PR's acceptance invariant, verbatim.
 
-        One replicated-topology run under the fault harness (dry run —
+        One replicated Service run under the fault harness (dry run —
         intercepting every durability boundary without crashing) must
         produce a *single* merged ``stats()`` snapshot covering stream,
         engine round phases, oplog fsync, checkpoint, shipper and
@@ -410,40 +390,38 @@ class TestEndToEndAcceptance:
         """
         factory, events = access_events()
         telemetry = Telemetry()
-        config = StreamConfig(
-            n_shards=2,
-            batch_max_ops=32,
-            train_rounds=2,
-            oplog_path=tmp_path / "primary" / "oplog.jsonl",
-            checkpoint_dir=tmp_path / "primary" / "checkpoints",
-            fsync=True,
-            telemetry=telemetry,
-        )
         with FaultInjector(obs=telemetry) as injector:
-            service = ReplicatedClusteringService(
-                factory, config, max_segment_ops=64
+            service = Service.open(
+                engine_factory=factory,
+                n_shards=2,
+                batch_max_ops=32,
+                train_rounds=2,
+                root_dir=tmp_path / "state",
+                fsync=True,
+                telemetry=telemetry,
+                max_segment_ops=64,
             )
-            service.add_replica(name="replica-0")
+            tenant = service.tenant("t")
+            replica = tenant.add_replica(name="replica-0")
             half = len(events) // 2
-            service.ingest(events[:half])
+            tenant.ingest(events[:half])
             service.sync()
-            service.checkpoint()
-            service.ingest(events[half:])
-            service.flush()
+            tenant.checkpoint()
+            tenant.ingest(events[half:])
+            tenant.flush()
             service.sync()
-            lag = service.lag()
+            lag = replica.lag()
             merged = service.stats()
             service.close()
         assert len(injector) > 0  # the harness really intercepted ops
 
-        # One snapshot, from the one shared recorder: primary, shipper
-        # and replica all report the same telemetry object.
-        assert merged["primary"]["telemetry"] is not None
-        families = merged["primary"]["telemetry"]["metrics"]["span_seconds"]
+        # One snapshot, from the one shared recorder: tenant pools,
+        # shipper and replica all report the same telemetry object.
+        assert merged["telemetry"] is not None
+        families = merged["telemetry"]["metrics"]["span_seconds"]
         span_names = {key.split("=", 1)[1] for key in families}
         assert {
-            "stream.ingest",          # ingest → route → batch → apply
-            "stream.route",
+            "serve.ingest",           # ingest → batch → apply
             "stream.batch.apply",
             "shard.apply",
             "engine.train",           # round phases
@@ -463,15 +441,15 @@ class TestEndToEndAcceptance:
             assert series["p50"] <= series["p95"] <= series["p99"], key
 
         # The fault harness's own counters landed in the same snapshot.
-        ops = merged["primary"]["telemetry"]["metrics"]["faultinject_ops_total"]
+        ops = merged["telemetry"]["metrics"]["faultinject_ops_total"]
         assert ops.get("kind=fsync", 0) > 0
         assert ops.get("kind=replace", 0) > 0
 
         # Replica lag includes the monotonic freshness gauge and the
         # clamped staleness, and the whole thing serialises.
-        assert lag[0]["seq_delta"] == 0
-        assert lag[0]["applied_age_s"] >= 0.0
-        assert lag[0]["staleness_s"] >= 0.0
+        assert lag["seq_delta"] == 0
+        assert lag["applied_age_s"] >= 0.0
+        assert lag["staleness_s"] >= 0.0
         json.dumps(merged)
 
         # And the trace is a loadable Chrome trace covering both rows.
@@ -480,7 +458,7 @@ class TestEndToEndAcceptance:
         tids = {event["tid"] for event in trace["traceEvents"]}
         assert {"service", "replica-0"} <= tids
         names = {event["name"] for event in trace["traceEvents"]}
-        assert "stream.ingest" in names and "replica.poll" in names
+        assert "serve.ingest" in names and "replica.poll" in names
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +574,6 @@ class TestExpositionCorrectness:
         text = registry.to_prometheus(prefix="repro")
         help_lines = [l for l in text.splitlines() if l.startswith("# HELP repro_odd")]
         assert help_lines == ["# HELP repro_odd line one\\nline two \\\\ slash"]
-
-    def test_snapshot_flattener_emits_parseable_untyped(self):
-        snapshot = {"applied_seq": 7, "shards": [{"objects": 2}, {"objects": 3}]}
-        samples = parse_prometheus(snapshot_to_prometheus(snapshot, prefix="repro"))
-        assert samples["repro_applied_seq"][frozenset()] == 7.0
-        assert samples["repro_shards_objects"][frozenset({("index", "0")})] == 2.0
 
     def test_live_service_scrape_parses_strictly(self, tmp_path):
         factory, events = access_events()

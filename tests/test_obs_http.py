@@ -1,6 +1,6 @@
 """Tests for the live HTTP operational surface (`repro.obs.server`).
 
-Covers the issue's acceptance scrape: a ReplicatedClusteringService
+Covers the acceptance scrape: a replicated ``repro.serve.Service``
 started with ``obs_server=`` must answer all five endpoints with
 well-formed payloads; ``/readyz`` must flip to 503 when a health check
 turns failing; servers must shut down cleanly with the service; and a
@@ -21,9 +21,9 @@ from repro.core import DynamicC
 from repro.data.generators import generate_access
 from repro.data.workload import OperationMix, build_workload
 from repro.obs import HealthRegistry, ObsServer, Telemetry, failing, ok, parse_listen
-from repro.replica import ReplicatedClusteringService
 from repro.replica.follower import FollowerDaemon
 from repro.replica.transport import MailboxTransport
+from repro.serve import Service
 from repro.stream import ClusteringService, StreamConfig
 
 from test_obs import parse_prometheus
@@ -190,24 +190,22 @@ class TestServiceSurface:
             urllib.request.urlopen(f"http://{address}/healthz", timeout=2)
 
     def test_replicated_topology_acceptance_scrape(self, dataset, events, tmp_path):
-        """The issue's acceptance test: every endpoint live on a
-        replicated topology, per-replica visibility quantiles present."""
-        topology = ReplicatedClusteringService(
-            make_factory(dataset),
-            StreamConfig(
-                n_shards=2,
-                batch_max_ops=32,
-                train_rounds=2,
-                oplog_path=tmp_path / "oplog.jsonl",
-                checkpoint_dir=tmp_path / "ckpt",
-                telemetry="on",
-                obs_server="127.0.0.1:0",
-            ),
+        """The acceptance test: every endpoint live on a replicated
+        Service, per-replica visibility quantiles present."""
+        topology = Service.open(
+            engine_factory=make_factory(dataset),
+            n_shards=2,
+            batch_max_ops=32,
+            train_rounds=2,
+            root_dir=tmp_path / "state",
+            telemetry="on",
+            obs_server="127.0.0.1:0",
         )
         try:
-            topology.add_replica(name="r0")
-            topology.ingest(events[:200])
-            topology.flush()
+            tenant = topology.tenant("t")
+            tenant.add_replica(name="r0")
+            tenant.ingest(events[:200])
+            tenant.flush()
             topology.sync()
             address = topology.obs_address
 
@@ -218,7 +216,9 @@ class TestServiceSurface:
                 dict(key).get("replica")
                 for key in samples["repro_e2e_visibility_seconds"]
             }
-            assert replicas >= {"primary", "r0"}
+            assert replicas >= {"serve:t", "r0"}  # the tenant pool and its replica
+            assert samples["repro_commit_watermark_ts"]
+            assert samples["repro_applied_watermark_ts"]
 
             status, snapshot = get_json(address, "/metrics.json")
             assert status == 200 and "metrics" in snapshot
@@ -266,46 +266,6 @@ class TestServiceSurface:
         finally:
             service.obs_server.close()
             service.batcher._pending.clear()  # nothing flushable onto a dead log
-
-    def test_obs_address_survives_promotion(self, dataset, events, tmp_path):
-        topology = ReplicatedClusteringService(
-            make_factory(dataset),
-            StreamConfig(
-                n_shards=2,
-                batch_max_ops=32,
-                train_rounds=2,
-                oplog_path=tmp_path / "oplog.jsonl",
-                checkpoint_dir=tmp_path / "ckpt",
-                telemetry="on",
-                obs_server="127.0.0.1:0",
-            ),
-        )
-        try:
-            topology.add_replica(name="r0")
-            topology.add_replica(
-                StreamConfig(
-                    n_shards=2,
-                    batch_max_ops=32,
-                    train_rounds=2,
-                    oplog_path=tmp_path / "heir-oplog.jsonl",
-                    checkpoint_dir=tmp_path / "heir-ckpt",
-                ),
-                name="heir",
-            )
-            topology.ingest(events[:120])
-            topology.flush()
-            topology.sync()
-            address = topology.obs_address
-            topology.promote(1)  # the durable follower takes over
-            assert topology.obs_address == address
-            status, report = get_json(address, "/readyz")
-            assert status == 200
-            # The surviving replica is re-registered on the new primary;
-            # the promoted one no longer reports as a replica.
-            assert "replica:r0" in report["checks"]
-            assert "replica:heir" not in report["checks"]
-        finally:
-            topology.close()
 
 
 class TestFollowerDaemon:

@@ -133,8 +133,11 @@ def test_serve_is_the_front_door():
 
 
 def test_deprecated_facades_still_exported():
-    """The old entry points remain public for the migration window."""
+    """ClusteringService stays public for the migration window; the
+    replicated façade is gone (replication goes through Service)."""
     stream = importlib.import_module("repro.stream")
     replica = importlib.import_module("repro.replica")
+    root = importlib.import_module("repro")
     assert "ClusteringService" in stream.__all__
-    assert "ReplicatedClusteringService" in replica.__all__
+    assert "ReplicatedClusteringService" not in replica.__all__
+    assert "ReplicatedClusteringService" not in root.__all__

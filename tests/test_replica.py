@@ -1,8 +1,14 @@
 """Tests for `repro.replica`: segments, transports, shipping, replicas,
-and the primary/replica façade — including the acceptance invariants:
-a replica fed only shipped segments + checkpoints reproduces the
-primary's exact partition, and a promoted follower's subsequent ingest
-matches an uninterrupted run."""
+and failover — including the acceptance invariants: a replica fed only
+shipped segments + checkpoints reproduces the primary's exact
+partition, and a promoted follower's subsequent ingest matches an
+uninterrupted run.
+
+In-process replication is driven through the one front door,
+:class:`repro.serve.Service` (``tenant(...).add_replica()``, ``sync()``,
+``compact()``); failover, injected clocks and cross-instance shipping
+use the primitives (`LogShipper`, `ReadReplica`, transports) directly.
+"""
 
 from __future__ import annotations
 
@@ -18,9 +24,9 @@ from repro.replica import (
     LogShipper,
     MailboxTransport,
     ReadReplica,
-    ReplicatedClusteringService,
     ReplicationGap,
 )
+from repro.serve import Service
 from repro.stream import ClusteringService, StreamConfig, add
 from repro.stream.oplog import open_log
 
@@ -49,16 +55,27 @@ def make_factory(dataset):
     return factory
 
 
+#: Round-cut parameters shared by every primary and follower here.
+CUT = dict(n_shards=2, batch_max_ops=32, train_rounds=2)
+
+#: The tenant every Service-driven test ingests into.
+TENANT = "t"
+
+
 def durable_config(root, **overrides) -> StreamConfig:
     settings = dict(
-        n_shards=2,
-        batch_max_ops=32,
-        train_rounds=2,
+        CUT,
         oplog_path=root / "oplog",
         checkpoint_dir=root / "checkpoints",
     )
     settings.update(overrides)
     return StreamConfig(**settings)
+
+
+def open_service(dataset, root, **overrides) -> Service:
+    return Service.open(
+        engine_factory=make_factory(dataset), **CUT, root_dir=root, **overrides
+    )
 
 
 def stamped_ops(n, start_seq=1):
@@ -141,72 +158,64 @@ class TestReplication:
     ):
         """Acceptance: shipped segments + checkpoints → frozenset-equal
         partitions, for both storage backends."""
-        factory = make_factory(dataset)
-        checkpoint_backend = "json" if backend == "jsonl" else "sqlite"
-        config = durable_config(
-            tmp_path / "primary",
+        svc = open_service(
+            dataset,
+            tmp_path / "state",
             log_backend=backend,
-            checkpoint_backend=checkpoint_backend,
+            checkpoint_backend="json" if backend == "jsonl" else "sqlite",
+            max_segment_ops=50,
         )
-        service = ReplicatedClusteringService(factory, config, max_segment_ops=50)
-        replica = service.add_replica(
-            durable_config(
-                tmp_path / "replica",
-                log_backend=backend,
-                checkpoint_backend=checkpoint_backend,
-            ),
-            name="follower",
-        )
+        tenant = svc.tenant(TENANT)
+        replica = tenant.add_replica(name="follower")
         # Interleave ingest and catch-up, ending mid-batch.
         third = len(events) // 3
-        service.ingest(events[:third])
-        service.sync()
-        service.ingest(events[third : 2 * third])
-        service.checkpoint()  # ships first, then snapshots + compacts
-        service.ingest(events[2 * third :])
-        service.flush()
-        applied = service.sync()
-        assert applied > 0
+        tenant.ingest(events[:third])
+        svc.sync()
+        tenant.ingest(events[third : 2 * third])
+        svc.sync()  # ship before the snapshot lets compaction advance
+        tenant.checkpoint()
+        assert svc.compact()["truncated_through"] > 0
+        tenant.ingest(events[2 * third :])
+        tenant.flush()
+        assert svc.sync()["applied"]["follower"] > 0
 
-        assert replica.partition() == service.primary.partition()
-        assert (
-            replica.service.membership.live_ids()
-            == service.primary.membership.live_ids()
-        )
+        assert replica.partition() == tenant.partition()
+        assert replica.num_objects() == tenant.num_objects()
         lag = replica.lag()
         assert lag["seq_delta"] == 0
-        assert lag["received_seq"] == service.primary.oplog.last_seq
-        service.close()
+        assert lag["received_seq"] == svc.manager.oplog.last_seq
+        svc.close()
 
     def test_late_replica_bootstraps_from_checkpoint(
         self, dataset, events, tmp_path
     ):
-        """A replica attached after compaction starts from the snapshot
-        and is shipped only the suffix."""
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
+        """A replica attached after compaction starts from the tenant's
+        snapshot and is shipped only the suffix."""
+        svc = open_service(dataset, tmp_path / "state")
+        tenant = svc.tenant(TENANT)
         half = len(events) // 2
-        service.ingest(events[:half])
-        service.checkpoint()  # compacts the log prefix
-        checkpoint_seq = service.primary.applied_seq
+        tenant.ingest(events[:half])
+        tenant.checkpoint()
+        checkpoint_seq = svc.compact()["truncated_through"]
+        assert checkpoint_seq > 0
 
-        replica = service.add_replica(durable_config(tmp_path / "late"))
+        replica = tenant.add_replica(name="late")
         assert replica.received_seq == checkpoint_seq
-        assert replica.num_objects() == service.primary.num_objects()
+        assert replica.snapshots_applied == 0  # seeded at bootstrap
 
-        service.ingest(events[half:])
-        service.flush()
-        service.sync()
-        assert replica.partition() == service.primary.partition()
+        tenant.ingest(events[half:])
+        tenant.flush()
+        svc.sync()
+        assert replica.partition() == tenant.partition()
         # Only the post-checkpoint suffix travelled over the wire.
+        (shipping,) = svc.stats()["shipping"]
+        assert shipping["ops_shipped"] == svc.manager.oplog.last_seq - checkpoint_seq
         assert replica.segments_applied >= 1
         assert (
             replica.stats()["events_ingested"]
-            < service.primary.stats()["events_ingested"]
+            < tenant.stats()["events_ingested"]
         )
-        service.close()
+        svc.close()
 
     def test_mailbox_replication_across_instances(self, dataset, events, tmp_path):
         """Primary and follower share nothing but a mailbox directory
@@ -235,13 +244,11 @@ class TestReplication:
     def test_replica_refuses_gap_and_drops_duplicates(
         self, dataset, events, tmp_path
     ):
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
-        replica = service.add_replica(name="r")
-        service.ingest(events[:64])
-        service.sync()
+        svc = open_service(dataset, tmp_path / "state")
+        tenant = svc.tenant(TENANT)
+        replica = tenant.add_replica(name="r")
+        tenant.ingest(events[:64])
+        svc.sync()
         seen = replica.received_seq
         assert seen == 64
 
@@ -258,20 +265,28 @@ class TestReplication:
         )
         with pytest.raises(ReplicationGap, match="refusing to apply past a gap"):
             replica.apply_segment(future)
-        service.close()
+        svc.close()
 
-    def test_divergent_round_cut_parameters_refused(self, dataset, tmp_path):
+    def test_divergent_round_cut_parameters_refused(
+        self, dataset, events, tmp_path
+    ):
+        """A follower cutting different rounds from the same log would
+        silently diverge: bootstrapping from a primary's snapshot with
+        different round-cut parameters is refused."""
         factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
-        with pytest.raises(ValueError, match="round-cut"):
-            service.add_replica(
-                durable_config(tmp_path / "bad", batch_max_ops=64)
-            )
-        with pytest.raises(ValueError, match="round-cut"):
-            service.add_replica(durable_config(tmp_path / "bad2", n_shards=4))
-        service.close()
+        primary = ClusteringService(factory, durable_config(tmp_path / "primary"))
+        primary.ingest(events[:64])
+        primary.checkpoint()
+        snapshot = primary.checkpoints.load_latest()
+        for divergent in (dict(batch_max_ops=64), dict(n_shards=4)):
+            with pytest.raises(ValueError, match="round-cut"):
+                ReadReplica.bootstrap(
+                    factory,
+                    StreamConfig(**dict(CUT, **divergent)),
+                    InProcessTransport(),
+                    snapshot=snapshot,
+                )
+        primary.close()
 
     def test_snapshot_seeded_replica_requires_local_checkpoints(
         self, dataset, events, tmp_path
@@ -281,80 +296,84 @@ class TestReplication:
         seq 1 with the prefix stored nowhere, and restart/promote()
         would refuse the gap. Both seeding paths reject it up front."""
         factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
-        service.ingest(events[:64])
-        service.checkpoint()
+        primary = ClusteringService(factory, durable_config(tmp_path / "primary"))
+        primary.ingest(events[:64])
+        primary.checkpoint()
+        snapshot = primary.checkpoints.load_latest()
         log_only = durable_config(tmp_path / "logonly", checkpoint_dir=None)
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            service.add_replica(log_only, name="log-only")
-        snapshot = service.primary.checkpoints.load_latest()
+            ReadReplica.bootstrap(
+                factory, log_only, InProcessTransport(), snapshot=snapshot
+            )
         with pytest.raises(ValueError, match="bootstrap"):
             ReadReplica(
                 factory, log_only, InProcessTransport(), snapshot=snapshot
             )
-        service.close()
+        primary.close()
 
     def test_ephemeral_primary_refused(self, dataset):
-        with pytest.raises(ValueError, match="oplog_path"):
-            ReplicatedClusteringService(
-                make_factory(dataset), StreamConfig(n_shards=1)
-            )
+        """Replication ships the shared log, so a Service without one
+        (no root_dir) has nothing to ship."""
+        svc = Service.open(engine_factory=make_factory(dataset), **CUT)
+        with pytest.raises(RuntimeError, match="root_dir"):
+            svc.tenant(TENANT).add_replica()
+        svc.close()
 
-    def test_round_robin_reads_and_staleness(self, dataset, events, tmp_path):
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
-        service.add_replica(name="a")
-        service.add_replica(name="b")
-        service.ingest(events[:64])
-        # Reads route to replicas, which haven't heard anything yet:
-        # eventual consistency is visible (and queryable via lag()).
-        live_id = next(iter(service.primary.membership.live_ids()))
-        assert service.primary.cluster_of(live_id) is not None
-        assert service.cluster_of(live_id) is None
-        assert service.members_of(live_id) == frozenset()
-        before = service._reader
-        service.cluster_of(live_id)
-        service.cluster_of(live_id)
-        assert service._reader == before + 2  # round-robin advanced
+    def test_replica_reads_are_eventually_consistent(
+        self, dataset, events, tmp_path
+    ):
+        svc = open_service(dataset, tmp_path / "state")
+        tenant = svc.tenant(TENANT)
+        replica = tenant.add_replica(name="a")
+        tenant.ingest(events[:64])
+        tenant.flush()
+        # The replica hasn't heard anything yet: eventual consistency
+        # is visible (and queryable via lag()).
+        live_id = min(next(iter(tenant.partition())))
+        assert tenant.cluster_of(live_id) is not None
+        assert replica.cluster_of(live_id) is None
 
-        service.sync()
-        assert service.cluster_of(live_id) is not None
-        assert live_id in service.members_of(live_id)
-        assert service.num_objects() == service.primary.num_objects()
-        for lag in service.lag():
-            assert lag["seq_delta"] == 0
-        service.close()
+        svc.sync()
+        # Cluster ids are replica-relative: resolve id → cluster →
+        # members against the replica alone.
+        gcid = replica.cluster_of(live_id)
+        assert gcid is not None and live_id in replica.members(gcid)
+        assert replica.num_objects() == tenant.num_objects()
+        assert svc.stats()["replicas"]["a"]["seq_delta"] == 0
+        svc.close()
 
     def test_lag_reports_seq_delta_and_staleness(self, dataset, events, tmp_path):
         clock = FakeClock(100.0)
         factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary"), clock=clock
+        primary = ClusteringService(factory, durable_config(tmp_path / "primary"))
+        shipper = LogShipper(primary.oplog, clock=clock)
+        transport = InProcessTransport()
+        shipper.attach(transport, from_seq=0)
+        replica = ReadReplica(
+            factory, StreamConfig(**CUT), transport, name="laggy", clock=clock
         )
-        replica = service.add_replica(name="laggy")
-        service.ingest(events[:40])
-        service.sync()
+
+        def sync():
+            shipper.ship(heartbeat=True)
+            replica.poll()
+
+        primary.ingest(events[:40])
+        sync()
         assert replica.lag()["seq_delta"] == 0
         assert replica.lag()["staleness_s"] == 0.0
 
         clock.advance(5.0)
-        service.ingest(events[40:80])  # shipped nowhere yet
+        primary.ingest(events[40:80])  # shipped nowhere yet
         lag = replica.lag()
         assert lag["staleness_s"] == 5.0
         assert lag["seq_delta"] == 0  # replica hasn't heard about them…
-        service.shipper.ship(heartbeat=True)  # …until a heartbeat tells it
-        replica.poll()
+        sync()  # …until the heartbeat round tells it
         assert replica.lag()["seq_delta"] == 0  # data segments applied too
         assert replica.lag()["staleness_s"] == 0.0
 
-        stats = service.stats()
-        assert stats["shipping"][0]["behind"] == 0
-        assert stats["primary"]["oplog_bytes"] > 0
-        service.close()
+        assert shipper.stats()[0]["behind"] == 0
+        assert primary.stats()["oplog_bytes"] > 0
+        primary.close()
 
 
 class TestPromotion:
@@ -368,58 +387,66 @@ class TestPromotion:
         reference.ingest(events)
         reference.flush()
 
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
+        primary = ClusteringService(factory, durable_config(tmp_path / "primary"))
+        shipper = LogShipper(primary.oplog)
+        transport = InProcessTransport()
+        shipper.attach(transport, from_seq=0)
+        heir = ReadReplica(
+            factory, durable_config(tmp_path / "heir"), transport, name="heir"
         )
-        survivor = service.add_replica(name="witness")  # ephemeral bystander
-        service.add_replica(durable_config(tmp_path / "heir"), name="heir")
         cut = (len(events) * 2) // 3  # deliberately mid-batch
-        service.ingest(events[:cut])
+        primary.ingest(events[:cut])
+        shipper.ship()  # a clean failover drains everything committed
+        heir.poll()
+        primary.close()
 
-        promoted = service.promote(1)  # final sync + failover
-        assert promoted is service.primary
+        promoted = heir.promote()
         assert promoted.applied_seq <= promoted.oplog.last_seq
-
-        service.ingest(events[cut:])
-        service.flush()
-        service.sync()
+        promoted.ingest(events[cut:])
+        promoted.flush()
 
         assert promoted.partition() == reference.partition()
         assert (
             promoted.membership.live_ids() == reference.membership.live_ids()
         )
         assert promoted.applied_seq == reference.applied_seq
-        # The surviving replica kept tailing across the failover.
-        assert survivor.partition() == reference.partition()
         reference.close()
-        service.close()
+        promoted.close()
 
     def test_promote_requires_durable_replica(self, dataset, events, tmp_path):
         factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
+        primary = ClusteringService(factory, durable_config(tmp_path / "primary"))
+        shipper = LogShipper(primary.oplog)
+        transport = InProcessTransport()
+        shipper.attach(transport, from_seq=0)
+        replica = ReadReplica(
+            factory, StreamConfig(**CUT), transport, name="ephemeral"
         )
-        service.add_replica(name="ephemeral")
-        service.ingest(events[:32])
+        primary.ingest(events[:32])
+        shipper.ship()
+        replica.poll()
         with pytest.raises(ValueError, match="ephemeral"):
-            service.promote(0)
-        service.close()
+            replica.promote()
+        primary.close()
 
     def test_promote_refuses_divergent_round_cut_config(
         self, dataset, events, tmp_path
     ):
         factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
+        primary = ClusteringService(factory, durable_config(tmp_path / "primary"))
+        shipper = LogShipper(primary.oplog)
+        transport = InProcessTransport()
+        shipper.attach(transport, from_seq=0)
+        replica = ReadReplica(
+            factory, durable_config(tmp_path / "heir"), transport, name="heir"
         )
-        replica = service.add_replica(
-            durable_config(tmp_path / "heir"), name="heir"
-        )
-        service.ingest(events[:32])
-        service.sync()
+        primary.ingest(events[:32])
+        shipper.ship()
+        replica.poll()
         with pytest.raises(ValueError, match="round-cut"):
             replica.promote(durable_config(tmp_path / "heir", batch_max_ops=64))
-        service.close()
+        primary.close()
+        replica.close()
 
     def test_durable_replica_restarts_from_own_state(
         self, dataset, events, tmp_path

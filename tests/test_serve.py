@@ -234,6 +234,24 @@ class TestTenantIsolation:
         }
         svc.close()
 
+    def test_replica_lag_is_a_readiness_check(self, dataset, stream, tmp_path):
+        """Each tenant replica's lag is a ``replica:<name>`` check on the
+        service's health registry — the report ``/readyz`` serves."""
+        svc = open_service(dataset, root_dir=tmp_path / "state")
+        drive(svc, stream[:100])
+        replica = svc.tenant("tenant-000").add_replica(name="t0")
+        check = svc.health.report()["checks"]["replica:t0"]
+        assert check["status"] == "degraded"  # attached, not yet heard
+        assert check["detail"] == "never heard from primary"
+        svc.sync(heartbeat=True)
+        check = svc.health.report()["checks"]["replica:t0"]
+        assert check["status"] == "ok"
+        lag = replica.lag()
+        assert lag["received_seq"] == svc.manager.oplog.last_seq
+        assert check["data"]["seq_delta"] == lag["seq_delta"] == 0
+        assert check["data"]["staleness_s"] >= 0.0
+        svc.close()
+
     def test_compaction_respects_every_tenant(self, dataset, stream, tmp_path):
         svc = open_service(dataset, root_dir=tmp_path / "state")
         drive(svc, stream)
@@ -469,18 +487,6 @@ class TestDeprecatedFacades:
         service.ingest([add(1, pv(dataset, 1))])  # still fully functional
         service.flush()
         assert service.num_objects() == 1
-        service.close()
-
-    def test_replicated_facade_warns(self, dataset, tmp_path):
-        from repro.replica import ReplicatedClusteringService
-
-        config = StreamConfig(
-            **CUT,
-            oplog_path=tmp_path / "oplog",
-            checkpoint_dir=tmp_path / "ckpt",
-        )
-        with pytest.warns(DeprecationWarning, match="repro.serve.Service"):
-            service = ReplicatedClusteringService(make_factory(dataset), config)
         service.close()
 
     def test_serve_path_is_warning_free(self, dataset, tmp_path):

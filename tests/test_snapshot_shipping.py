@@ -28,10 +28,10 @@ from repro.replica import (
     LogShipper,
     MailboxTransport,
     ReadReplica,
-    ReplicatedClusteringService,
     ReplicationGap,
     SnapshotArtifact,
 )
+from repro.serve import Service
 from repro.stream import ClusteringService, StreamConfig, add
 from repro.stream.oplog import open_log
 
@@ -245,57 +245,56 @@ class TestSelfContainedFollower:
 
 
 class TestResyncAfterGap:
-    def test_service_heals_a_follower_that_lost_its_spool(
+    def test_resync_heals_a_follower_that_lost_its_spool(
         self, dataset, events, tmp_path
     ):
-        """sync() turns a follower-side ReplicationGap into a snapshot
-        re-seed + re-ship instead of an error."""
+        """A follower-side ReplicationGap (its spool lost artifacts) is
+        healed over the same channel: the shipper re-seeds it with the
+        newest snapshot and re-ships the suffix."""
         factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary"), max_segment_ops=32
-        )
+        primary = ClusteringService(factory, durable_config(tmp_path / "primary"))
         spool = tmp_path / "spool"
-        replica = service.add_replica(
+        shipper = LogShipper(
+            primary.oplog,
+            snapshots=primary.checkpoints.load_latest,
+            max_segment_ops=32,
+        )
+        outbox = MailboxTransport(spool)
+        shipper.attach(outbox, from_seq=0)
+        replica = ReadReplica(
+            factory,
             durable_config(tmp_path / "follower"),
-            transport=MailboxTransport(spool),
+            MailboxTransport(spool),
             name="f",
         )
         third = len(events) // 3
-        service.ingest(events[:third])
-        service.sync()
+        primary.ingest(events[:third])
+        shipper.ship()
+        replica.poll()
         in_sync = replica.received_seq
         # More ops get shipped into the spool — and lost before the
         # follower polls them.
-        service.ingest(events[third : 2 * third])
-        service.shipper.ship()
+        primary.ingest(events[third : 2 * third])
+        shipper.ship()
         for path in spool.iterdir():
             path.unlink()
-        service.checkpoint()  # snapshot now covers the lost range
-        service.ingest(events[2 * third :])
-        applied = service.sync()  # gap detected → resync → caught up
-        assert applied > 0
+        primary.checkpoint()  # snapshot now covers the lost range
+        primary.ingest(events[2 * third :])
+        shipper.ship()
+        with pytest.raises(ReplicationGap):
+            replica.poll()
+        shipper.resync(outbox)
+        shipper.ship()
+        assert replica.poll() > 0
         assert replica.snapshots_applied == 1
         assert replica.received_seq > in_sync
-        service.flush()
-        service.sync()
-        assert replica.partition() == service.primary.partition()
-        assert service.shipper.stats()[0]["snapshots_shipped"] == 1
-        service.close()
-
-    def test_log_only_replica_refused_before_any_checkpoint_exists(
-        self, dataset, tmp_path
-    ):
-        """A durable follower without a checkpoint_dir can never accept
-        the snapshot sync()'s gap healing would ship it — refused at
-        attach time even while the primary has no snapshot yet."""
-        service = ReplicatedClusteringService(
-            make_factory(dataset), durable_config(tmp_path / "primary")
-        )
-        with pytest.raises(ValueError, match="checkpoint_dir"):
-            service.add_replica(
-                durable_config(tmp_path / "log-only", checkpoint_dir=None)
-            )
-        service.close()
+        primary.flush()
+        shipper.ship()
+        replica.poll()
+        assert replica.partition() == primary.partition()
+        assert shipper.stats()[0]["snapshots_shipped"] == 1
+        primary.close()
+        replica.close()
 
     def test_fully_compacted_log_still_ships_the_snapshot(self, tmp_path):
         """When truncation left an *empty* retained suffix, nothing
@@ -391,49 +390,56 @@ class TestServiceCompaction:
     def test_compact_truncates_to_the_lowest_safety_floor(
         self, dataset, events, tmp_path
     ):
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory,
-            durable_config(tmp_path / "primary", compact_on_checkpoint=False),
+        svc = Service.open(
+            engine_factory=make_factory(dataset),
+            **ROUND_CUT,
+            root_dir=tmp_path / "state",
+            compact_on_checkpoint=False,
         )
-        service.add_replica(name="r")
+        tenant = svc.tenant("t")
+        replica = tenant.add_replica(name="r")
         half = len(events) // 2
-        service.ingest(events[:half])
-        service.checkpoint()
-        service.ingest(events[half:])
-        service.checkpoint()
-        report = service.compact()
+        tenant.ingest(events[:half])
+        tenant.checkpoint()
+        tenant.ingest(events[half:])
+        svc.sync()  # the replica's cursor must not hold the floor back
+        tenant.checkpoint()
+        report = svc.compact()
         # Two retained checkpoints: truncation stops at the OLDEST one —
         # the fallback recovery root keep_checkpoints preserves — not at
         # the newest snapshot.
-        seqs = service.primary.checkpoints.list_seqs()
+        seqs = svc.manager.activate("t").service.checkpoints.list_seqs()
         assert len(seqs) == 2
         assert report["truncated_through"] == seqs[0] < seqs[-1]
         assert report["reclaimed_bytes"] > 0
-        assert service.stats()["primary"]["oplog_reclaimed_bytes"] > 0
+        assert svc.stats()["oplog"]["reclaimed_bytes"] > 0
         # The suffix past the snapshot survives and the service works.
-        service.flush()
-        service.sync()
-        assert service.replicas[0].partition() == service.primary.partition()
+        tenant.flush()
+        svc.sync()
+        assert replica.partition() == tenant.partition()
         # A follower added *after* the truncation still bootstraps.
-        late = service.add_replica(name="late")
-        service.sync()
-        assert late.partition() == service.primary.partition()
-        service.close()
+        late = tenant.add_replica(name="late")
+        svc.sync()
+        assert late.partition() == tenant.partition()
+        svc.close()
 
     def test_compact_before_any_checkpoint_is_an_honest_noop(
         self, dataset, events, tmp_path
     ):
-        service = ReplicatedClusteringService(
-            make_factory(dataset), durable_config(tmp_path / "primary")
+        svc = Service.open(
+            engine_factory=make_factory(dataset),
+            **ROUND_CUT,
+            root_dir=tmp_path / "state",
         )
-        service.ingest(events[:30])
-        report = service.compact()
+        svc.tenant("t").ingest(events[:30])
+        log_bytes = svc.manager.oplog.size_bytes()
+        report = svc.compact()
         assert report["truncated_through"] == 0
         assert report["reclaimed_bytes"] == 0
         # Nothing was truncated, and the report says so truthfully.
-        assert report["kept_ops"] == service.primary.oplog.last_seq == 30
-        service.close()
+        assert report["log_bytes"] == log_bytes
+        assert svc.manager.oplog.last_seq == 30
+        svc.close()
 
 
 class TestRandomInterleavings:
