@@ -265,11 +265,9 @@ class TenantManager:
                 else:
                     service = ClusteringService(self._factory, cfg)
             if self.oplog is not None:
-                suffix = [
-                    op
-                    for op in self.oplog.replay(after_seq=service.applied_seq)
-                    if op.tenant == name
-                ]
+                suffix = list(
+                    self.oplog.iter_tenant(name, after_seq=service.applied_seq)
+                )
                 if suffix:
                     service.apply_logged(suffix, contiguous=False)
         bucket = (

@@ -22,6 +22,19 @@ Durability/robustness properties every backend provides:
   never yields past;
 * :meth:`LogBackend.compact` atomically drops the prefix a checkpoint
   already covers.
+
+The JSONL backend's read index is soft state: an in-memory index over
+its records that the scan healing the tail at open rebuilds, every
+append extends and compaction rebuilds, and that is never written to
+disk nor consulted by crash recovery. It holds each record's seq and
+byte offset (two ``array('q')``, 16 bytes per record) plus each
+tenant's seqs, so :meth:`LogBackend.iter_from` bisects and seeks
+straight to the suffix it was asked for and
+:meth:`LogBackend.iter_tenant` reads only that tenant's records. A read
+that finds a record the index did not expect (the file was changed by
+something other than this object) rebuilds the index with a full scan
+and is served from it. The sqlite backend needs no index: its reads go
+through the ``seq`` primary key and filter tenants in SQL.
 """
 
 from __future__ import annotations
@@ -29,12 +42,25 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
 from repro.faults.inject import fire
 from repro.obs.telemetry import NULL_TELEMETRY
 
 from .events import Operation
+
+#: ``tenant=`` value of a read that wants every tenant's records.
+_ANY = object()
+
+
+def _decode(raw) -> dict | None:
+    """One JSON record, or ``None`` when it is torn or undecodable."""
+    try:
+        return json.loads(raw)
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        return None
 
 
 class LogBackend:
@@ -70,7 +96,12 @@ class LogBackend:
         so a rejected batch cannot burn sequence numbers — a burned seq
         would read as a log gap at recovery time.
         """
-        raise NotImplementedError
+        stamped = [
+            operation.with_seq(self.last_seq + offset)
+            for offset, operation in enumerate(operations, 1)
+        ]
+        self._commit(stamped)
+        return stamped
 
     def append_stamped(self, operations: Sequence[Operation]) -> int:
         """Append operations that already carry sequence numbers.
@@ -80,6 +111,39 @@ class LogBackend:
         primary's. Gap-refusing — every record must continue exactly at
         ``last_seq + 1`` or the whole batch is rejected (``ValueError``)
         before anything is written. Returns the number appended.
+        """
+        seq = self.last_seq
+        for operation in operations:
+            if operation.seq != seq + 1:
+                raise ValueError(
+                    f"stamped append breaks contiguity: expected seq "
+                    f"{seq + 1}, got {operation.seq}"
+                )
+            seq = operation.seq
+        self._commit(operations)
+        return len(operations)
+
+    def _commit(self, operations: Sequence[Operation]) -> None:
+        """Encode and durably write already-stamped operations.
+
+        Every record is encoded before anything is written, and
+        ``last_seq`` and the watermark move only after the write
+        succeeded — a failed batch leaves both as they were.
+        """
+        records = [json.dumps(operation.to_dict()) for operation in operations]
+        if not records:
+            return
+        self._write(operations, records)
+        for operation in operations:
+            if operation.ingest_ts is not None:
+                self.last_watermark_ts = operation.ingest_ts
+        self.last_seq = operations[-1].seq
+
+    def _write(self, operations: Sequence[Operation], records: list[str]) -> None:
+        """Durably append one encoded record per operation; all or nothing.
+
+        A backend with a read index extends it here, once the write
+        succeeded.
         """
         raise NotImplementedError
 
@@ -91,9 +155,15 @@ class LogBackend:
         """
         raise NotImplementedError
 
-    def replay(self, after_seq: int = 0) -> Iterator[Operation]:
-        """Alias of :meth:`iter_from` (the recovery-path name)."""
-        return self.iter_from(after_seq)
+    def iter_tenant(self, tenant: str | None, after_seq: int = 0) -> Iterator[Operation]:
+        """Yield ``tenant``'s operations with ``seq > after_seq``, in order.
+
+        The same records as filtering :meth:`iter_from` by
+        ``op.tenant == tenant`` (``None`` selects untenanted records),
+        under the same call-time ``last_seq`` bound, but only that
+        tenant's records are read.
+        """
+        raise NotImplementedError
 
     def compact(self, upto_seq: int) -> int:
         """Drop all entries with ``seq <= upto_seq``; returns kept count."""
@@ -141,6 +211,33 @@ class LogBackend:
         self.close()
 
 
+def _records(handle) -> Iterator[tuple[int, int, dict]]:
+    """``(start, end, record)`` of each JSONL line from offset 0.
+
+    Blank lines are skipped. A line without its newline or that fails
+    to decode ends the scan: it is a torn tail from a crash mid-append,
+    and everything after it is unreadable garbage by definition.
+    """
+    end = 0
+    for raw in handle:
+        start, end = end, end + len(raw)
+        if not raw.endswith(b"\n"):
+            return
+        if raw.isspace():
+            continue
+        data = _decode(raw)
+        if data is None:
+            return
+        yield start, end, data
+
+
+def _open_or_none(path: pathlib.Path):
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        return None
+
+
 class OperationLog(LogBackend):
     """Append-only JSONL WAL of :class:`~repro.stream.events.Operation`.
 
@@ -159,28 +256,39 @@ class OperationLog(LogBackend):
         self.fsync = fsync
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.last_seq = self._heal_tail()
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle = open(self.path, "ab")
+
+    def _reset_index(self) -> None:
+        #: Soft read index: seq and byte offset of every record, in
+        #: file order (both ascending), and ``tenant -> ascending seqs``
+        #: (``None`` keys untenanted records).
+        self._seqs = array("q")
+        self._offsets = array("q")
+        self._tenant_seqs = {}
+
+    def _index(self, seq: int, offset: int, tenant: str | None) -> None:
+        self._seqs.append(seq)
+        self._offsets.append(offset)
+        seqs = self._tenant_seqs.get(tenant)
+        if seqs is None:
+            seqs = self._tenant_seqs[tenant] = array("q")
+        seqs.append(seq)
 
     def _heal_tail(self) -> int:
-        """Truncate any torn final line; returns the last valid seq.
+        """Truncate any torn final line and rebuild the index; returns the last valid seq.
 
-        Without this, the next append would concatenate onto the
-        partial line and corrupt an otherwise-valid record.
+        Without the truncation, the next append would concatenate onto
+        the partial line and corrupt an otherwise-valid record.
         """
+        self._reset_index()
         if not self.path.exists():
             return 0
         last_seq = 0
         valid_end = 0
         with open(self.path, "r+b") as handle:
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break
-                try:
-                    data = json.loads(raw.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    break
-                valid_end += len(raw)
+            for start, valid_end, data in _records(handle):
                 last_seq = int(data["seq"])
+                self._index(last_seq, start, data.get("tenant"))
                 ts = data.get("ts")
                 if ts is not None:
                     self.last_watermark_ts = float(ts)
@@ -188,98 +296,118 @@ class OperationLog(LogBackend):
         return last_seq
 
     # ------------------------------------------------------------------
-    def _write_lines(self, lines: list[str]) -> None:
-        if not lines:
-            return
+    def _write(self, operations: Sequence[Operation], records: list[str]) -> None:
         fire("oplog.append", self.path)
+        payload = ("\n".join(records) + "\n").encode("utf-8")
         obs = self.obs
         start = self._handle.tell()
         try:
             if obs.enabled:
-                with obs.span("oplog.append", records=len(lines)):
-                    self._handle.write("\n".join(lines) + "\n")
+                with obs.span("oplog.append", records=len(records)):
+                    self._handle.write(payload)
                     self._handle.flush()
                     if self.fsync:
                         fire("oplog.fsync", self.path)
                         with obs.span("oplog.fsync"):
                             os.fsync(self._handle.fileno())
-                return
-            self._handle.write("\n".join(lines) + "\n")
-            self._handle.flush()
-            if self.fsync:
-                fire("oplog.fsync", self.path)
-                os.fsync(self._handle.fileno())
+            else:
+                self._handle.write(payload)
+                self._handle.flush()
+                if self.fsync:
+                    fire("oplog.fsync", self.path)
+                    os.fsync(self._handle.fileno())
         except Exception:
             # An I/O *error* (not a crash: InjectedCrash is a
             # BaseException and skips this, like real process death
             # would) may leave the batch partially written — e.g. the
             # write landed but the fsync failed. Rewind so a retry of
             # the same batch cannot append duplicate records after the
-            # flushed first attempt.
+            # flushed first attempt. Truncation leaves the position
+            # where the write ended, so seek back too: the next batch's
+            # offsets are taken from it.
             try:
                 self._handle.truncate(start)
+                self._handle.seek(start)
             except OSError:
                 pass  # reopen-time tail healing remains the backstop
             raise
-
-    def append(self, operations: Sequence[Operation]) -> list[Operation]:
-        stamped = []
-        lines = []
-        seq = self.last_seq
-        watermark = self.last_watermark_ts
-        for operation in operations:
-            seq += 1
-            stamped_op = operation.with_seq(seq)
-            stamped.append(stamped_op)
-            lines.append(json.dumps(stamped_op.to_dict()))
-            if stamped_op.ingest_ts is not None:
-                watermark = stamped_op.ingest_ts
-        self._write_lines(lines)
-        self.last_seq = seq
-        self.last_watermark_ts = watermark
-        return stamped
-
-    def append_stamped(self, operations: Sequence[Operation]) -> int:
-        lines = []
-        seq = self.last_seq
-        watermark = self.last_watermark_ts
-        for operation in operations:
-            if operation.seq != seq + 1:
-                raise ValueError(
-                    f"stamped append breaks contiguity: expected seq "
-                    f"{seq + 1}, got {operation.seq}"
-                )
-            seq = operation.seq
-            lines.append(json.dumps(operation.to_dict()))
-            if operation.ingest_ts is not None:
-                watermark = operation.ingest_ts
-        self._write_lines(lines)
-        self.last_seq = seq
-        self.last_watermark_ts = watermark
-        return len(lines)
+        offset = start
+        for operation, record in zip(operations, records):
+            self._index(operation.seq, offset, operation.tenant)
+            offset += len(record) + 1  # json.dumps output is ASCII
 
     def iter_from(self, after_seq: int = 0) -> Iterator[Operation]:
-        # Captured once: appends racing this scan (or a torn tail a
-        # crashed co-writer left) must not leak past the healed bound.
+        # Captured at call time: appends racing this read (or a torn
+        # tail a crashed co-writer left) must not leak past the bound.
         bound = self.last_seq
-        if not self.path.exists():
+        seqs = self._seqs
+        positions = range(bisect_right(seqs, after_seq), bisect_right(seqs, bound))
+        return self._read(seqs, self._offsets, positions, after_seq, bound, _ANY)
+
+    def iter_tenant(self, tenant: str | None, after_seq: int = 0) -> Iterator[Operation]:
+        bound = self.last_seq
+        seqs = self._seqs
+        tenant_seqs = self._tenant_seqs.get(tenant, ())
+        positions = [
+            bisect_left(seqs, seq)
+            for seq in tenant_seqs[
+                bisect_right(tenant_seqs, after_seq) : bisect_right(tenant_seqs, bound)
+            ]
+        ]
+        return self._read(seqs, self._offsets, positions, after_seq, bound, tenant)
+
+    def _read(self, seqs, offsets, positions, after_seq, bound, tenant):
+        """Seek to each indexed record in ``positions`` and decode it.
+
+        Every record must carry the seq (and tenant) the index expects.
+        The first one that does not — or a missing file — means the file
+        was changed behind this object's back: the rest of the read is
+        served from a full rescan, which also rebuilds the index.
+        """
+        if not positions:
             return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    # Torn tail from a crash mid-append; everything after
-                    # it is unreadable garbage by definition.
+        done = after_seq
+        handle = _open_or_none(self.path)
+        if handle is not None:
+            with handle:
+                for position in positions:
+                    handle.seek(offsets[position])
+                    raw = handle.readline()
+                    data = _decode(raw) if raw.endswith(b"\n") else None
+                    if (
+                        data is None
+                        or data.get("seq") != seqs[position]
+                        or (tenant is not _ANY and data.get("tenant") != tenant)
+                    ):
+                        break
+                    done = seqs[position]
+                    yield Operation.from_dict(data)
+                else:
+                    return
+        yield from self._rescan(done, bound, tenant)
+
+    def _rescan(self, after_seq: int, bound: int, tenant) -> list[Operation]:
+        """Rebuild the index from a full scan; return what a stale read owes.
+
+        The owed records are collected before the first is yielded, so
+        a reader that stops early cannot leave a half-built index.
+        """
+        self._reset_index()
+        owed = []
+        handle = _open_or_none(self.path)
+        if handle is None:
+            return owed
+        with handle:
+            for start, _, data in _records(handle):
+                seq = int(data["seq"])
+                if seq > self.last_seq:
                     break
-                operation = Operation.from_dict(data)
-                if operation.seq > bound:
-                    break
-                if operation.seq > after_seq:
-                    yield operation
+                self._index(seq, start, data.get("tenant"))
+                if after_seq < seq <= bound and (
+                    tenant is _ANY or data.get("tenant") == tenant
+                ):
+                    owed.append(data)
+        return [Operation.from_dict(data) for data in owed]
 
     def compact(self, upto_seq: int) -> int:
         """Drop all entries with ``seq <= upto_seq``; returns kept count.
@@ -288,25 +416,34 @@ class OperationLog(LogBackend):
         is atomically renamed over the log.
         """
         fire("oplog.compact", self.path)
-        kept = list(self.iter_from(after_seq=upto_seq))
+        kept = list(self.iter_from(upto_seq))
+        offsets = []
         temp = self.path.with_suffix(self.path.suffix + ".compact")
         # Write the suffix before touching the live handle: a failure
         # here (disk full, fsync error) leaves the log fully usable.
-        with open(temp, "w", encoding="utf-8") as handle:
+        with open(temp, "wb") as handle:
+            offset = 0
             for operation in kept:
-                handle.write(json.dumps(operation.to_dict()) + "\n")
+                line = (json.dumps(operation.to_dict()) + "\n").encode("utf-8")
+                handle.write(line)
+                offsets.append(offset)
+                offset += len(line)
             handle.flush()
             os.fsync(handle.fileno())
         self._handle.close()
         try:
             os.replace(temp, self.path)
+            self._reset_index()
+            for operation, offset in zip(kept, offsets):
+                self._index(operation.seq, offset, operation.tenant)
             from .checkpoint import fsync_directory
 
             fsync_directory(self.path.parent)
         finally:
             # Reopen even if the rename failed, so the log object keeps
-            # working against whichever file survived.
-            self._handle = open(self.path, "a", encoding="utf-8")
+            # working against whichever file survived (and whose index
+            # it still holds).
+            self._handle = open(self.path, "ab")
         return len(kept)
 
     def size_bytes(self) -> int:

@@ -792,7 +792,7 @@ class ClusteringService:
                 "recover.replay", after_seq=service.applied_seq
             ):
                 service.apply_logged(
-                    service.oplog.replay(after_seq=service.applied_seq),
+                    service.oplog.iter_from(service.applied_seq),
                     expect_after=service.applied_seq,
                 )
         service.metrics.recoveries += 1

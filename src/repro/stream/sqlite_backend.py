@@ -100,9 +100,8 @@ class SqliteOperationLog(LogBackend):
         except sqlite3.Error:
             pass  # no transaction active, or the connection is gone
 
-    def _insert(self, rows: list[tuple[int, str]]) -> None:
-        if not rows:
-            return
+    def _write(self, operations: Sequence[Operation], records: list[str]) -> None:
+        rows = [(operation.seq, record) for operation, record in zip(operations, records)]
         fire("oplog.append", self.path)
         obs = self.obs
         try:
@@ -129,47 +128,21 @@ class SqliteOperationLog(LogBackend):
             self._rollback()
             raise
 
-    def append(self, operations: Sequence[Operation]) -> list[Operation]:
-        stamped = []
-        rows = []
-        seq = self.last_seq
-        watermark = self.last_watermark_ts
-        for operation in operations:
-            seq += 1
-            stamped_op = operation.with_seq(seq)
-            stamped.append(stamped_op)
-            rows.append((seq, json.dumps(stamped_op.to_dict())))
-            if stamped_op.ingest_ts is not None:
-                watermark = stamped_op.ingest_ts
-        self._insert(rows)
-        self.last_seq = seq
-        self.last_watermark_ts = watermark
-        return stamped
-
-    def append_stamped(self, operations: Sequence[Operation]) -> int:
-        rows = []
-        seq = self.last_seq
-        watermark = self.last_watermark_ts
-        for operation in operations:
-            if operation.seq != seq + 1:
-                raise ValueError(
-                    f"stamped append breaks contiguity: expected seq "
-                    f"{seq + 1}, got {operation.seq}"
-                )
-            seq = operation.seq
-            rows.append((seq, json.dumps(operation.to_dict())))
-            if operation.ingest_ts is not None:
-                watermark = operation.ingest_ts
-        self._insert(rows)
-        self.last_seq = seq
-        self.last_watermark_ts = watermark
-        return len(rows)
-
     def iter_from(self, after_seq: int = 0) -> Iterator[Operation]:
         bound = self.last_seq
         for (record,) in self._conn.execute(
             "SELECT record FROM oplog WHERE seq > ? AND seq <= ? ORDER BY seq",
             (after_seq, bound),
+        ):
+            yield Operation.from_dict(json.loads(record))
+
+    def iter_tenant(self, tenant: str | None, after_seq: int = 0) -> Iterator[Operation]:
+        bound = self.last_seq
+        # ``IS`` so that ``None`` selects the records without a tenant.
+        for (record,) in self._conn.execute(
+            "SELECT record FROM oplog WHERE seq > ? AND seq <= ? "
+            "AND json_extract(record, '$.tenant') IS ? ORDER BY seq",
+            (after_seq, bound, tenant),
         ):
             yield Operation.from_dict(json.loads(record))
 

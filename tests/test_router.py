@@ -240,7 +240,7 @@ class TestServiceWithLeastLoaded:
         with ClusteringService(factory, ll_config) as primary:
             primary.ingest(access_events[:48])
             primary.flush()
-            stamped_ops = list(primary.oplog.replay(after_seq=0))
+            stamped_ops = list(primary.oplog.iter_from(0))
 
         follower_config = StreamConfig(
             n_shards=2,

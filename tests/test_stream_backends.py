@@ -79,7 +79,7 @@ class TestLogBackendContract:
             stamped = log.append(sample_ops(30))
             assert [op.seq for op in stamped] == list(range(1, 31))
             assert log.last_seq == 30
-            replayed = list(log.replay())
+            replayed = list(log.iter_from())
             assert replayed == stamped
             # Seq-addressed suffix reads.
             assert [op.seq for op in log.iter_from(21)] == list(range(22, 31))
@@ -94,15 +94,15 @@ class TestLogBackendContract:
             assert kept == 10
             # The boundary case the recovery path depends on: replaying
             # after exactly the compaction point sees the full suffix…
-            assert [op.seq for op in log.replay(after_seq=10)] == list(range(11, 21))
+            assert [op.seq for op in log.iter_from(10)] == list(range(11, 21))
             # …and the prefix is really gone (a full replay starts at 11).
-            assert [op.seq for op in log.replay()] == list(range(11, 21))
+            assert [op.seq for op in log.iter_from()] == list(range(11, 21))
             # Appends continue the sequence across the compaction.
             (next_op,) = log.append([add(999, "after-compact")])
             assert next_op.seq == 21
         with open_log(log_path(tmp_path, backend), backend=backend) as reopened:
             assert reopened.last_seq == 21
-            assert [op.seq for op in reopened.replay(after_seq=10)] == list(
+            assert [op.seq for op in reopened.iter_from(10)] == list(
                 range(11, 22)
             )
 
@@ -132,7 +132,7 @@ class TestLogBackendContract:
             # The refused batch burned nothing.
             assert follower.last_seq == 3
             follower.append_stamped(stamped[3:])
-            assert list(follower.replay()) == stamped
+            assert list(follower.iter_from()) == stamped
             follower.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -167,8 +167,8 @@ class TestLogBackendContract:
             logs[backend] = open_log(path, backend=backend)
         jsonl, sqlite_log = logs["jsonl"], logs["sqlite"]
         assert jsonl.last_seq == sqlite_log.last_seq == 24
-        jsonl_ops = list(jsonl.replay())
-        sqlite_ops = list(sqlite_log.replay())
+        jsonl_ops = list(jsonl.iter_from())
+        sqlite_ops = list(sqlite_log.iter_from())
         assert jsonl_ops == sqlite_ops
         assert [op.to_dict() for op in jsonl_ops] == [
             op.to_dict() for op in sqlite_ops

@@ -111,12 +111,12 @@ class TestOperationLog:
             assert log.last_seq == 1
             stamped = log.append([add(2, "b")])
             assert stamped[0].seq == 2
-            assert [op.obj_id for op in log.replay()] == [1, 2]
+            assert [op.obj_id for op in log.iter_from()] == [1, 2]
 
     def test_replay_after_seq(self, tmp_path):
         with OperationLog(tmp_path / "wal.jsonl") as log:
             log.append([add(i, str(i)) for i in range(5)])
-            assert [op.seq for op in log.replay(after_seq=3)] == [4, 5]
+            assert [op.seq for op in log.iter_from(3)] == [4, 5]
 
     def test_torn_tail_ignored(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -125,7 +125,7 @@ class TestOperationLog:
         with open(path, "a") as handle:
             handle.write('{"seq": 3, "kind": "add", "id": 3, "pay')  # crash mid-write
         with OperationLog(path) as log:
-            assert [op.obj_id for op in log.replay()] == [1, 2]
+            assert [op.obj_id for op in log.iter_from()] == [1, 2]
             # The torn line is superseded; the next append reuses seq 3.
             assert log.append([add(4, "d")])[0].seq == 3
 
@@ -138,7 +138,7 @@ class TestOperationLog:
                 log.append([add(2, "b"), add(3, {4: "bad-key"})])
             assert log.last_seq == 1
             assert log.append([add(5, "c")])[0].seq == 2
-            assert [op.seq for op in log.replay()] == [1, 2]
+            assert [op.seq for op in log.iter_from()] == [1, 2]
 
     def test_compact(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -146,7 +146,7 @@ class TestOperationLog:
             log.append([add(i, str(i)) for i in range(6)])
             kept = log.compact(upto_seq=4)
             assert kept == 2
-            assert [op.seq for op in log.replay()] == [5, 6]
+            assert [op.seq for op in log.iter_from()] == [5, 6]
             # Appends continue beyond the compacted prefix.
             assert log.append([add(9, "i")])[0].seq == 7
 
@@ -162,7 +162,7 @@ class TestOperationLog:
             monkeypatch.undo()
             # The log object still appends and replays correctly.
             assert log.append([add(9, "x")])[0].seq == 5
-            assert [op.seq for op in log.replay()] == [1, 2, 3, 4, 5]
+            assert [op.seq for op in log.iter_from()] == [1, 2, 3, 4, 5]
 
 
 class TestBatchingFold:
