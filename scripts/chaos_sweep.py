@@ -9,10 +9,11 @@ longer budget buys more coverage rather than idle time. Every schedule
 is seeded: a red run reproduces locally with the seed printed in the
 report.
 
-Writes ``benchmarks/results/fault_matrix.json``: one record per cell
-with the fault injected, cases executed, pass/fail counts and the
-first failure's detail. Exits non-zero if any cell failed (or crashed
-outside its expectations).
+Writes ``benchmarks/results/fault_matrix.json`` (untracked; CI uploads
+it as an artefact): one record per cell with the fault injected, the
+rounds it ran, cases executed and pass/fail counts summed over those
+rounds, and the first failure's detail. Exits non-zero if any cell
+failed (or crashed outside its expectations).
 
 Usage: python scripts/chaos_sweep.py [--budget-s 120] [--out PATH]
 """
@@ -474,7 +475,7 @@ def main() -> int:
 
     budget = Budget(args.budget_s)
     started = time.time()
-    records: list[dict] = []
+    cells: dict[str, dict] = {}
     round_no = 0
     # Round 0 guarantees one pass over every cell even past budget;
     # later rounds deepen the sampled sweeps while time remains.
@@ -482,16 +483,18 @@ def main() -> int:
         for runner in MATRIX:
             if round_no > 0 and budget.exhausted():
                 break
-            cell = runner(budget, round_no)
-            cell.record["round"] = round_no
-            records.append(cell.record)
-            print(
-                f"[chaos] round {round_no} {cell.record['cell']}: "
-                f"{cell.record['passed']}/{cell.record['cases']} passed",
-                flush=True,
-            )
+            record = runner(budget, round_no).record
+            zero = dict(record, cases=0, passed=0, failed=0, rounds=0)
+            total = cells.setdefault(record["cell"], zero)
+            for key in ("cases", "passed", "failed"):
+                total[key] += record[key]
+            total["first_failure"] = total["first_failure"] or record["first_failure"]
+            total["rounds"] += 1
         round_no += 1
 
+    records = list(cells.values())
+    for r in records:
+        print(f"[chaos] {r['cell']}: {r['passed']}/{r['cases']} passed", flush=True)
     failed = sum(r["failed"] for r in records)
     report = {
         "budget_s": args.budget_s,

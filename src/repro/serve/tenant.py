@@ -880,6 +880,10 @@ class TenantManager:
                 for name in self.tenants()
             },
         }
+        # Tenant pools share this manager's recorder: Service.stats()
+        # reports its snapshot once, at the top, not once per tenant.
+        for snapshot in out["tenants"].values():
+            snapshot.pop("telemetry", None)
         if self._replicas:
             out["replicas"] = {
                 name: replica.lag() for name, replica in self._replicas.items()

@@ -23,7 +23,11 @@ Every schedule is seeded; there is no timing dependence beyond the
 
 from __future__ import annotations
 
+import importlib.util
+import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -425,3 +429,33 @@ class TestTenantIsolationUnderEnospc:
                 assert "charlie" in resident
                 assert "alpha" in resident  # unevictable, still resident
                 assert "bravo" not in resident
+
+
+def test_chaos_sweep_reports_one_record_per_cell(tmp_path, monkeypatch, capsys):
+    """The sweep sums each cell over its rounds; a failure exits 1 with its seed."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "chaos_sweep.py"
+    spec = importlib.util.spec_from_file_location("chaos_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+
+    def cell(name, check):
+        def runner(budget, round_no):
+            record = sweep.Cell(name, "oplog.append", "eio")
+            record.case(f"seed{7 + 100 * round_no}", check)
+            return record
+
+        return runner
+
+    out = tmp_path / "fault_matrix.json"
+    matrix = [cell("ok", lambda: None), cell("bad", lambda: 1 / 0)]
+    monkeypatch.setattr(sweep, "MATRIX", matrix)
+    monkeypatch.setattr(sys, "argv", ["sweep", "--budget-s", "0.05", "--out", str(out)])
+    assert sweep.main() == 1
+    report = json.loads(out.read_text())
+    ok, bad = report["cells"]
+    assert (ok["cell"], bad["cell"]) == ("ok", "bad") and bad["rounds"] >= 2
+    assert ok["cases"] == ok["passed"] == ok["rounds"]
+    assert bad["cases"] == bad["failed"] == report["failed"] == bad["rounds"]
+    failure = "seed7: ZeroDivisionError: division by zero"
+    assert bad["first_failure"] == failure
+    assert capsys.readouterr().err == f"[chaos] FAILED bad: {failure}\n"

@@ -403,6 +403,7 @@ class TestEndToEndAcceptance:
             )
             tenant = service.tenant("t")
             replica = tenant.add_replica(name="replica-0")
+            tenant.add_replica(name="replica-1")
             half = len(events) // 2
             tenant.ingest(events[:half])
             service.sync()
@@ -439,6 +440,12 @@ class TestEndToEndAcceptance:
             assert series["count"] >= 1, key
             assert {"p50", "p95", "p99"} <= set(series), key
             assert series["p50"] <= series["p95"] <= series["p99"], key
+
+        # Ingest → queryable: one series per node (tenant pool, replicas).
+        visibility = merged["telemetry"]["metrics"]["e2e_visibility_seconds"]
+        nodes = {"serve:t", "replica-0", "replica-1"}
+        assert set(visibility) == {f"replica={node}" for node in nodes}
+        assert all(series["count"] > 0 for series in visibility.values())
 
         # The fault harness's own counters landed in the same snapshot.
         ops = merged["telemetry"]["metrics"]["faultinject_ops_total"]

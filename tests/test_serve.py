@@ -221,7 +221,11 @@ class TestTenantIsolation:
             for tenant in sorted(by_tenant(stream))
         }
         svc.sync()
-        drive(svc, stream[200:])
+        for start in range(200, len(stream), 50):  # caught up after every sync
+            drive(svc, stream[start : start + 50])
+            assert sum(svc.sync(heartbeat=True)["applied"].values()) > 0
+            for lag in (replica.lag() for replica in replicas.values()):
+                assert lag["seq_delta"] == 0 and lag["visibility_lag_s"] is not None
         svc.flush()
         result = svc.sync()
         assert result["published"] > 0
@@ -255,6 +259,7 @@ class TestTenantIsolation:
     def test_compaction_respects_every_tenant(self, dataset, stream, tmp_path):
         svc = open_service(dataset, root_dir=tmp_path / "state")
         drive(svc, stream)
+        assert svc.stats()["ops_total"] == len(stream)
         # Any tenant without a checkpoint pins the log at zero.
         svc.tenant("tenant-000").checkpoint()
         assert svc.compact()["truncated_through"] == 0
@@ -282,6 +287,17 @@ class TestTenantIsolation:
         assert svc.tenant("a").num_objects() == svc.tenant("b").num_objects()
         with pytest.raises(UnknownTenantError):
             svc.manager.tenant_stats("never-seen")
+        svc.close()
+
+    def test_stats_hold_one_telemetry_snapshot(self, dataset):
+        """Tenants share one recorder, reported once (not per tenant)."""
+        svc = open_service(dataset, telemetry="on")
+        for name in ("a", "b"):
+            svc.tenant(name).ingest([("add", 1, pv(dataset, 1))])
+        stats = svc.stats()
+        assert stats["telemetry"]["enabled"] and len(stats["tenants"]) == 2
+        assert not any("telemetry" in snap for snap in stats["tenants"].values())
+        assert svc.tenant("a").stats()["telemetry"]["enabled"]
         svc.close()
 
 
@@ -371,6 +387,7 @@ class TestLRUActivation:
         )
         drive(svc, stream)  # 4 tenants through a 2-pool cap
         stats = svc.stats()
+        assert stats["ops_total"] == len(stream)
         assert stats["resident_tenants"] <= 2
         assert stats["known_tenants"] == 4
         assert stats["evictions_total"] >= 2

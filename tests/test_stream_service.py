@@ -4,6 +4,8 @@ exactly the memberships of an uninterrupted run."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.clustering.objectives import DBIndexObjective
@@ -51,33 +53,35 @@ def durable_config(tmp_path, **overrides) -> StreamConfig:
 
 class TestServiceBasics:
     def test_ingest_and_query(self, access_dataset, access_events, tmp_path):
-        with ClusteringService(
-            make_factory(access_dataset), durable_config(tmp_path)
-        ) as service:
-            service.ingest(access_events)
-            service.flush()
+        for n_shards, router in itertools.product((1, 2, 4), ("hash", "least-loaded")):
+            config = durable_config(
+                tmp_path / f"{router}-{n_shards}", n_shards=n_shards, router=router
+            )
+            with ClusteringService(make_factory(access_dataset), config) as service:
+                service.ingest(access_events)
+                service.flush()
 
-            stats = service.stats()
-            # ≥ 5 ingest rounds ran on both shards.
-            assert stats["batches_applied"] >= 5
-            assert stats["applied_seq"] == len(access_events)
-            assert stats["pending_ops"] == 0
-            for shard_stats in stats["shards"]:
-                assert shard_stats["trained"]
-                assert shard_stats["rounds_predicted"] >= 1
+                stats = service.stats()
+                # ≥ 5 ingest rounds ran, and every shard trained.
+                assert stats["batches_applied"] >= 5
+                assert stats["applied_seq"] == len(access_events)
+                assert stats["backlog"] == stats["pending_ops"] == 0
+                for shard_stats in stats["shards"]:
+                    assert shard_stats["trained"]
+                    assert shard_stats["rounds_predicted"] >= 1
 
-            # Every live object is queryable, routed to the right shard,
-            # and its cluster's member list contains it.
-            clusters = service.clusters()
-            covered = set()
-            for obj_id in service.membership.live_ids():
-                gcid = service.cluster_of(obj_id)
-                assert gcid is not None
-                assert obj_id in service.members(gcid)
-                covered.add(gcid)
-            assert covered == set(clusters)
-            # The global partition covers exactly the live ids.
-            assert set().union(*clusters.values()) == service.membership.live_ids()
+                # Every live object is queryable, routed to the right
+                # shard, and its cluster's member list contains it.
+                clusters = service.clusters()
+                covered = set()
+                for obj_id in service.membership.live_ids():
+                    gcid = service.cluster_of(obj_id)
+                    assert gcid is not None
+                    assert obj_id in service.members(gcid)
+                    covered.add(gcid)
+                assert covered == set(clusters)
+                # The global partition covers exactly the live ids.
+                assert set().union(*clusters.values()) == service.membership.live_ids()
 
     def test_tuple_ingest_and_ephemeral_mode(self):
         # No oplog/checkpoints: the service runs fully in memory.
