@@ -386,16 +386,6 @@ class Clustering:
     # ------------------------------------------------------------------
     # Cross-cluster aggregates
     # ------------------------------------------------------------------
-    def _cross(self, left: set[int], right: set[int]) -> float:
-        total = 0.0
-        if len(right) < len(left):
-            left, right = right, left
-        for obj_id in left:
-            for other, sim in self.graph.neighbors(obj_id).items():
-                if other in right:
-                    total += sim
-        return total
-
     def cross_weight(self, cid_a: int, cid_b: int) -> float:
         """Sum of edge similarities between two clusters (``S_inter``)."""
         if cid_a == cid_b:

@@ -819,10 +819,18 @@ class TenantManager:
         evicted one reports only its residency (activating it just to
         count it would defeat the cap).
         """
+        snapshot = self._tenant_gauges(name, legacy)
+        entry = self._residents.get(name)
+        if entry is not None:
+            snapshot["telemetry"] = entry.service.telemetry.snapshot()
+        return snapshot
+
+    def _tenant_gauges(self, name: str, legacy: bool) -> dict:
+        """:meth:`tenant_stats` without the telemetry snapshot."""
         self.check_name(name)
         entry = self._residents.get(name)
         if entry is not None:
-            snapshot = entry.service.stats(legacy=legacy)
+            snapshot = entry.service.gauges(legacy=legacy)
             snapshot["tenant"] = name
             snapshot["resident"] = True
             return snapshot
@@ -875,15 +883,12 @@ class TenantManager:
                 if self.oplog is not None
                 else None
             ),
+            # Tenant pools share this manager's recorder: Service.stats()
+            # reports its snapshot once, at the top, not once per tenant.
             "tenants": {
-                name: self.tenant_stats(name, legacy=legacy)
-                for name in self.tenants()
+                name: self._tenant_gauges(name, legacy) for name in self.tenants()
             },
         }
-        # Tenant pools share this manager's recorder: Service.stats()
-        # reports its snapshot once, at the top, not once per tenant.
-        for snapshot in out["tenants"].values():
-            snapshot.pop("telemetry", None)
         if self._replicas:
             out["replicas"] = {
                 name: replica.lag() for name, replica in self._replicas.items()

@@ -17,8 +17,9 @@ workload (add/remove/update operations, §3.1).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import defaultdict
-from typing import Any, Callable, Iterable
+from collections import Counter, defaultdict
+from itertools import chain
+from typing import Any, Callable, Iterable, Mapping
 
 from .jaccard import tokenize
 
@@ -88,15 +89,19 @@ class TokenBlockingIndex(CandidateIndex):
         self._max_block_size = max_block_size
         # Tokens computed at add time, so remove never re-tokenizes.
         self._tokens: dict[int, tuple[str, ...]] = {}
+        # Stored token count per object, read by count-based scoring.
+        self._sizes: dict[int, int] = {}
 
     def add(self, obj_id: int, payload: Any) -> None:
         tokens = tuple(self._key(payload))
         self._tokens[obj_id] = tokens
+        self._sizes[obj_id] = len(tokens)
         for token in tokens:
             self._blocks[token].add(obj_id)
 
     def remove(self, obj_id: int, payload: Any) -> None:
         tokens = self._tokens.pop(obj_id, None)
+        self._sizes.pop(obj_id, None)
         if tokens is None:
             tokens = tuple(self._key(payload))
         for token in tokens:
@@ -117,6 +122,38 @@ class TokenBlockingIndex(CandidateIndex):
                 continue
             found.update(block)
         return found
+
+    def candidate_overlaps(
+        self, payload: Any
+    ) -> tuple[Iterable[str], set[int], Counter[int], Mapping[int, int]]:
+        """Candidates plus the counts that score them under Jaccard (ScanCount).
+
+        Returns ``(tokens, found, shared, sizes)``: the payload's blocking
+        tokens as the key produced them; ``found``, equal to
+        :meth:`candidates` and built by the same sequence of set updates,
+        so it iterates in the same order (the similarity graph fills
+        adjacency rows in this order, and clustering outcomes depend on
+        row order, so counting must not reorder them); ``shared[i]``, the number of
+        the payload's tokens that object ``i`` also holds; ``sizes[i]``,
+        object ``i``'s stored token count. ``shared`` counts over *all*
+        of the payload's blocks, stop-word blocks included — only
+        candidate generation obeys ``max_block_size`` — so it is the
+        exact intersection size whenever the key yields distinct tokens.
+        ``sizes`` is the index's live map: read it, never change it.
+        """
+        tokens = self._key(payload)
+        found: set[int] = set()
+        blocks = []
+        limit = self._max_block_size
+        for token in tokens:
+            block = self._blocks.get(token)
+            if block is None:
+                continue
+            blocks.append(block)
+            if limit is not None and len(block) > limit:
+                continue
+            found.update(block)
+        return tokens, found, Counter(chain.from_iterable(blocks)), self._sizes
 
     def block_sizes(self) -> dict[str, int]:
         """Diagnostic: current block sizes keyed by token."""

@@ -10,7 +10,11 @@ remove, update.
 
 Candidate pairs come from a pluggable :class:`~repro.similarity.blocking.CandidateIndex`
 (brute force, token blocking, or a spatial grid) so graph maintenance is
-far cheaper than all-pairs scoring on realistic workloads.
+far cheaper than all-pairs scoring on realistic workloads. Jaccard over
+token blocking is scored from the index's shared-token counts
+(ScanCount) instead of one ``similarity()`` call per candidate; every
+other pairing scores candidates pair by pair. Both paths store the same
+edges with the same floats, in the candidate set's iteration order.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 
 from .base import SimilarityFunction
-from .blocking import BruteForceIndex, CandidateIndex
+from .blocking import BruteForceIndex, CandidateIndex, TokenBlockingIndex
+from .jaccard import JaccardSimilarity
 
 
 def payloads_equal(a: Any, b: Any) -> bool:
@@ -77,6 +82,15 @@ class SimilarityGraph:
         self._prepared: dict[int, Any] = {}
         self._adj: dict[int, dict[int, float]] = {}
         self._total_weight = 0.0
+        # Token-blocked Jaccard is scored from the index's shared-token
+        # counts while every inserted payload's blocking tokens are its
+        # prepared token set; the first payload whose tokens differ turns
+        # it off for good, since the index's stored counts then stop
+        # matching the sets Jaccard compares.
+        self._count_scoring = (
+            type(similarity) is JaccardSimilarity
+            and type(self.index) is TokenBlockingIndex
+        )
         #: Monotonic counter bumped on every structural change; derived
         #: caches (e.g. DBSCAN core status) key on it.
         self.version = 0
@@ -85,17 +99,39 @@ class SimilarityGraph:
     # Dynamic operations (§3.1: Adding / Removing / Updating)
     # ------------------------------------------------------------------
     def _insert(self, obj_id: int, payload: Any) -> None:
-        """Shared add core: score against index candidates, no version bump."""
+        """Shared add core: score against index candidates, no version bump.
+
+        Rows are filled in the candidate set's iteration order, on both
+        scoring paths: clustering reads rows in that order, and equal
+        edges stored in another order can end in another partition.
+        """
         if obj_id in self._payloads:
             raise KeyError(f"object {obj_id} already present")
-        similarity = self.similarity_fn.similarity
         prepared = self.similarity_fn.prepare(payload)
         self._payloads[obj_id] = payload
         self._prepared[obj_id] = prepared
         row = self._adj[obj_id] = {}
+        if self._count_scoring:
+            tokens, found, shared, sizes = self.index.candidate_overlaps(payload)
+            self._count_scoring = tokens is prepared or (
+                isinstance(tokens, (set, frozenset)) and tokens == prepared
+            )
+        else:
+            found = self.index.candidates(payload)
+        if self._count_scoring:
+            self._score_counts(obj_id, row, found, shared, len(prepared), sizes)
+        else:
+            self._score_pairs(obj_id, row, prepared, found)
+        # Register with the index only after scoring so the index never
+        # proposes the object to itself mid-insert.
+        self.index.add(obj_id, payload)
+
+    def _score_pairs(self, obj_id: int, row: dict, prepared: Any, found: set[int]) -> None:
+        """One ``similarity()`` call per candidate: the reference path."""
+        similarity = self.similarity_fn.similarity
         prepared_of = self._prepared
         threshold = self.store_threshold
-        for other in self.index.candidates(payload):
+        for other in found:
             if other == obj_id or other not in self._payloads:
                 continue
             sim = similarity(prepared, prepared_of[other])
@@ -103,9 +139,42 @@ class SimilarityGraph:
                 row[other] = sim
                 self._adj[other][obj_id] = sim
                 self._total_weight += sim
-        # Register with the index only after scoring so the index never
-        # proposes the object to itself mid-insert.
-        self.index.add(obj_id, payload)
+
+    def _score_counts(
+        self,
+        obj_id: int,
+        row: dict,
+        found: set[int],
+        shared: Mapping[int, int],
+        size: int,
+        sizes: Mapping[int, int],
+    ) -> None:
+        """Jaccard from shared-token counts: the edges, floats and row
+        order of :meth:`_score_pairs`, without intersecting each pair.
+
+        A candidate holds every token it shares, so its score is at most
+        ``count / size``; rounding is monotonic, so a candidate with
+        fewer than ``least`` shared tokens cannot reach the threshold
+        and is skipped before any float is computed.
+        """
+        jaccard = JaccardSimilarity.from_counts
+        threshold = self.store_threshold
+        least = 1
+        while least <= size and least / size < threshold:
+            least += 1
+        payloads = self._payloads
+        adj = self._adj
+        total = self._total_weight
+        for other in found:
+            count = shared[other]
+            if count < least or other == obj_id or other not in payloads:
+                continue
+            sim = jaccard(count, size, sizes[other])
+            if sim >= threshold and sim > 0.0:
+                row[other] = sim
+                adj[other][obj_id] = sim
+                total += sim
+        self._total_weight = total
 
     def add_object(self, obj_id: int, payload: Any) -> None:
         """Insert a new object, scoring it against index candidates."""

@@ -12,14 +12,21 @@ def tokenize(text: str) -> frozenset[str]:
     return frozenset(token for token in text.lower().split() if token)
 
 
+def jaccard_from_counts(shared: int, size_a: int, size_b: int) -> float:
+    """Jaccard coefficient from counts: ``shared / (size_a + size_b - shared)``.
+
+    The one expression both scoring paths evaluate: :func:`jaccard` on
+    two sets and the similarity graph on a blocking index's shared-token
+    counts. Integer sums are exact, so the two agree bit for bit.
+    """
+    if shared == 0:
+        return 0.0
+    return shared / (size_a + size_b - shared)
+
+
 def jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
     """Plain Jaccard coefficient ``|a ∩ b| / |a ∪ b|`` (0 for two empty sets)."""
-    if not a and not b:
-        return 0.0
-    intersection = len(a & b)
-    if intersection == 0:
-        return 0.0
-    return intersection / (len(a) + len(b) - intersection)
+    return jaccard_from_counts(len(a & b), len(a), len(b))
 
 
 class JaccardSimilarity(SimilarityFunction):
@@ -35,6 +42,9 @@ class JaccardSimilarity(SimilarityFunction):
 
     def similarity(self, a, b) -> float:
         return jaccard(self._as_tokens(a), self._as_tokens(b))
+
+    #: The count form: Jaccard from a shared-token count and two set sizes.
+    from_counts = staticmethod(jaccard_from_counts)
 
     def prepare(self, payload) -> frozenset[str]:
         """Tokenize once per object — pair scoring then skips ``_as_tokens``."""

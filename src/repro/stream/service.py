@@ -579,7 +579,7 @@ class ClusteringService:
         return len(self.membership)
 
     def stats(self, legacy: bool = True) -> dict:
-        """Telemetry snapshot plus live engine/stream gauges.
+        """:meth:`gauges` plus the telemetry snapshot under ``"telemetry"``.
 
         The canonical cross-layer shape (shared with
         :class:`~repro.replica.ReadReplica` and
@@ -589,6 +589,14 @@ class ClusteringService:
         to ``False`` next — additionally emits the pre-1.4 aliases
         ``events_ingested`` and ``pending_ops``.
         """
+        snapshot = self.gauges(legacy=legacy)
+        snapshot["telemetry"] = self.telemetry.snapshot()
+        return snapshot
+
+    def gauges(self, legacy: bool = True) -> dict:
+        """Counters and live engine/stream gauges: :meth:`stats` without
+        the telemetry snapshot, for callers that report one shared
+        recorder once."""
         snapshot = self.metrics.snapshot(legacy=legacy)
         snapshot.update(
             backlog=len(self.batcher),
@@ -617,7 +625,6 @@ class ClusteringService:
                 trained=shard.trained,
                 last_applied_seq=shard.last_applied_seq,
             )
-        snapshot["telemetry"] = self.telemetry.snapshot()
         return snapshot
 
     def apply_logged(

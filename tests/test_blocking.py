@@ -60,3 +60,19 @@ class TestTokenBlocking:
         index.add(1, "alpha beta")
         index.add(2, "gamma delta")
         assert index.candidates("beta gamma") == {1, 2}
+
+    def test_candidate_overlaps_count_every_block(self):
+        index = TokenBlockingIndex(max_block_size=2)
+        for obj_id in range(5):
+            index.add(obj_id, "common token%d" % obj_id)
+        index.add(7, "token3 extra")
+        tokens, found, shared, sizes = index.candidate_overlaps("common token3 extra")
+        assert tokens == frozenset({"common", "token3", "extra"})
+        # Candidates obey the stop-word guard, exactly as candidates() ...
+        assert found == index.candidates("common token3 extra") == {3, 7}
+        assert list(found) == list(index.candidates("common token3 extra"))
+        # ... but the shared counts include the oversized "common" block.
+        assert shared[3] == 2 and shared[7] == 2 and shared[0] == 1
+        assert sizes[3] == 2 and sizes[7] == 2
+        index.remove(7, "token3 extra")
+        assert 7 not in sizes

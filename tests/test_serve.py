@@ -25,6 +25,7 @@ from repro.core import DynamicC
 from repro.data import OperationMix, tenant_stream, zipf_weights
 from repro.data.generators import generate_access
 from repro.errors import ConfigError, QuotaExceeded, ServeError, UnknownTenantError
+from repro.obs.telemetry import Telemetry
 from repro.serve import ServeConfig, Service, TokenBucket
 from repro.stream import ClusteringService, StreamConfig, add
 
@@ -289,12 +290,23 @@ class TestTenantIsolation:
             svc.manager.tenant_stats("never-seen")
         svc.close()
 
-    def test_stats_hold_one_telemetry_snapshot(self, dataset):
-        """Tenants share one recorder, reported once (not per tenant)."""
+    def test_stats_hold_one_telemetry_snapshot(self, dataset, monkeypatch):
+        """Tenants share one recorder, reported once (not per tenant) and
+        built once per call."""
         svc = open_service(dataset, telemetry="on")
         for name in ("a", "b"):
             svc.tenant(name).ingest([("add", 1, pv(dataset, 1))])
+        snapshots = 0
+        original = Telemetry.snapshot
+
+        def counting(self):
+            nonlocal snapshots
+            snapshots += 1
+            return original(self)
+
+        monkeypatch.setattr(Telemetry, "snapshot", counting)
         stats = svc.stats()
+        assert snapshots == 1
         assert stats["telemetry"]["enabled"] and len(stats["tenants"]) == 2
         assert not any("telemetry" in snap for snap in stats["tenants"].values())
         assert svc.tenant("a").stats()["telemetry"]["enabled"]

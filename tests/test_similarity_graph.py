@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro.similarity import JaccardSimilarity, SimilarityGraph
+from repro.clustering.batch import HillClimbing
+from repro.clustering.objectives import DBIndexObjective
+from repro.core import DynamicC
+from repro.data.generators import generate_cora
+from repro.data.workload import OperationMix, build_workload
+from repro.similarity import (
+    JaccardSimilarity,
+    SimilarityGraph,
+    TokenBlockingIndex,
+    WeightedCombination,
+)
 from repro.similarity.table import TableSimilarity
 
 from paper_example import PAPER_EDGES, PAPER_IDS, build_paper_graph
@@ -200,3 +210,170 @@ class TestBatchedMaintenance:
         graph = SimilarityGraph(fn, store_threshold=0.0)
         graph.add_objects({i: f"tok{i} shared" for i in range(6)})
         assert prepares == 6
+
+
+# ---------------------------------------------------------------------------
+# Count-based Jaccard scoring against the per-pair reference
+# ---------------------------------------------------------------------------
+def _identity(payload):
+    return payload
+
+
+def _reference():
+    """Plain Jaccard behind a wrapper: the graph scores it pair by pair."""
+    return WeightedCombination([(JaccardSimilarity(), 1.0)])
+
+
+def _cora_workload(seed):
+    dataset = generate_cora(n_entities=30, n_duplicates=120, seed=seed)
+    return build_workload(
+        dataset,
+        initial_count=80,
+        n_snapshots=8,
+        mixes=OperationMix(add=0.1, remove=0.04, update=0.06),
+        seed=seed + 1,
+    )
+
+
+def _replay(graph, workload):
+    """Seeded add/remove/update rounds, then the edge cases by hand."""
+    graph.add_objects(workload.initial)
+    for snapshot in workload.snapshots:
+        for obj_id in snapshot.removed:
+            graph.remove_object(obj_id)
+        for obj_id, payload in snapshot.updated.items():
+            graph.update_object(obj_id, payload)
+        graph.add_objects(snapshot.added)
+    live = sorted(graph.object_ids())
+    fresh = max(live) + 1
+    graph.add_objects({fresh: frozenset(), fresh + 1: frozenset()})  # empty sets
+    reused, donor, noop = live[0], live[1], live[2]
+    graph.remove_object(reused)
+    graph.add_object(reused, graph.payload(donor) | {"reused-token"})
+    graph.update_object(noop, frozenset(set(graph.payload(noop))))  # no-op
+    graph.update_object(donor, frozenset())  # non-empty -> empty
+    graph.add_object(fresh + 2, graph.payload(reused))
+    return graph
+
+
+def _rows(graph):
+    """Every adjacency row in stored order, with exact floats."""
+    return {obj_id: list(graph.neighbors(obj_id).items()) for obj_id in graph.object_ids()}
+
+
+class TestCountScoring:
+    """Token-blocked Jaccard scored from shared-token counts must store
+    the per-pair reference's rows (same order, same floats) and total
+    weight, exactly."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("max_block_size", [4, 200, None])
+    @pytest.mark.parametrize("threshold", [0.0, 0.25, 0.6])
+    def test_matches_per_pair_reference(self, seed, max_block_size, threshold):
+        workload = _cora_workload(seed)
+        counted, reference = (
+            _replay(
+                SimilarityGraph(
+                    similarity,
+                    index=TokenBlockingIndex(key=_identity, max_block_size=max_block_size),
+                    store_threshold=threshold,
+                ),
+                workload,
+            )
+            for similarity in (JaccardSimilarity(), _reference())
+        )
+        assert counted._count_scoring and not reference._count_scoring
+        assert _rows(counted) == _rows(reference)
+        assert counted.total_weight == reference.total_weight
+        assert counted.edge_count() > 0
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_edge_exactly_at_threshold_kept(self, reverse):
+        """A subset scores exactly ``count / size``: the bound's edge case."""
+        payloads = [frozenset("abcd"), frozenset("a"), frozenset("abcde")]
+        if reverse:
+            payloads.reverse()
+        graph = SimilarityGraph(
+            JaccardSimilarity(),
+            index=TokenBlockingIndex(key=_identity),
+            store_threshold=0.25,
+        )
+        graph.add_objects(dict(enumerate(payloads)))
+        assert graph._count_scoring
+        by_payload = {graph.payload(i): i for i in graph.object_ids()}
+        assert graph.similarity(by_payload[frozenset("abcd")], by_payload[frozenset("a")]) == 0.25
+        assert graph.similarity(by_payload[frozenset("abcde")], by_payload[frozenset("a")]) == 0.0
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            None,  # default tokenize(str(payload)): not the payload's tokens
+            lambda payload: payload if len(payload) % 2 else list(payload) * 2,
+        ],
+        ids=["default-key", "mismatch-mid-stream"],
+    )
+    def test_mismatched_key_falls_back(self, key):
+        workload = _cora_workload(5)
+        counted, reference = (
+            _replay(
+                SimilarityGraph(
+                    similarity, index=TokenBlockingIndex(key=key), store_threshold=0.25
+                ),
+                workload,
+            )
+            for similarity in (JaccardSimilarity(), _reference())
+        )
+        assert not counted._count_scoring
+        assert _rows(counted) == _rows(reference)
+        assert counted.total_weight == reference.total_weight
+
+    def test_unguarded_edges_equal_brute_force(self):
+        workload = _cora_workload(7)
+        blocked = _replay(
+            SimilarityGraph(
+                JaccardSimilarity(),
+                index=TokenBlockingIndex(key=_identity, max_block_size=None),
+                store_threshold=0.0,
+            ),
+            workload,
+        )
+        brute = _replay(SimilarityGraph(JaccardSimilarity(), store_threshold=0.0), workload)
+        assert set(blocked.edges()) == set(brute.edges())
+
+    def test_dynamicc_partitions_match_reference(self):
+        dataset = generate_cora(n_entities=30, n_duplicates=120, seed=13)
+        workload = build_workload(
+            dataset,
+            initial_count=70,
+            n_snapshots=8,
+            mixes=OperationMix(add=0.1, remove=0.02, update=0.04),
+            seed=14,
+        )
+        partitions, graphs = [], []
+        for similarity in (dataset.similarity, _reference()):
+            graph = SimilarityGraph(
+                similarity,
+                index=dataset.index_factory(),
+                store_threshold=dataset.store_threshold,
+            )
+            graphs.append(graph)
+            graph.add_objects(workload.initial)
+            dyn = DynamicC(graph, DBIndexObjective(), seed=0)
+            dyn.bootstrap(HillClimbing(DBIndexObjective()).cluster(graph))
+            rounds = []
+            for number, snapshot in enumerate(workload.snapshots):
+                ops = dict(
+                    added=snapshot.added, removed=snapshot.removed, updated=snapshot.updated
+                )
+                if number < 3:
+                    dyn.observe_round(**ops)
+                    if number == 2:
+                        dyn.train()
+                else:
+                    dyn.ingest(**ops)
+                    dyn.recluster()
+                rounds.append(dyn.clustering.as_partition())
+            partitions.append(rounds)
+        assert [graph._count_scoring for graph in graphs] == [True, False]
+        assert partitions[0] == partitions[1]
+        assert len(partitions[0][-1]) > 1
