@@ -277,23 +277,6 @@ class HillClimbing:
                     return True
         return False
 
-    def _weakest_members(self, clustering: Clustering, cid: int) -> list[int]:
-        """Members orderd by ascending similarity to the rest of the cluster."""
-        members = clustering.members_view(cid)
-        if len(members) < 2:
-            return []
-        graph = clustering.graph
-        weights = []
-        for obj_id in members:
-            weight = sum(
-                sim
-                for other, sim in graph.neighbors(obj_id).items()
-                if other in members
-            )
-            weights.append((weight, obj_id))
-        weights.sort()
-        return [obj_id for _, obj_id in weights[: self.split_candidates]]
-
     def _split_pass(
         self,
         clustering: Clustering,
@@ -308,11 +291,12 @@ class HillClimbing:
                 touched is None or cid not in touched
             ):
                 continue
-            if not clustering.contains_cluster(cid):
+            # Singletons have nothing to split off or move out.
+            if not clustering.contains_cluster(cid) or clustering.size(cid) < 2:
                 continue
             if not self._in_scope(clustering, cid, scope):
                 continue
-            for obj_id in self._weakest_members(clustering, cid):
+            for obj_id in clustering.weakest_members(cid, self.split_candidates):
                 part = {obj_id}
                 delta = self.objective.delta_split(clustering, cid, part)
                 if delta < -self.tolerance:
@@ -346,11 +330,12 @@ class HillClimbing:
                 touched is None or cid not in touched
             ):
                 continue
-            if not clustering.contains_cluster(cid):
+            # Singletons have nothing to split off or move out.
+            if not clustering.contains_cluster(cid) or clustering.size(cid) < 2:
                 continue
             if not self._in_scope(clustering, cid, scope):
                 continue
-            for obj_id in self._weakest_members(clustering, cid):
+            for obj_id in clustering.weakest_members(cid, self.split_candidates):
                 current = clustering.cluster_of(obj_id)
                 target_cids = {
                     clustering.cluster_of(other)
@@ -456,7 +441,9 @@ class HillClimbing:
                 if delta < best_delta:
                     best_delta = delta
                     best = ("merge", pair, delta)
-            for obj_id in self._weakest_members(clustering, cid):
+            if clustering.size(cid) < 2:
+                continue
+            for obj_id in clustering.weakest_members(cid, self.split_candidates):
                 delta = self.objective.delta_split(clustering, cid, {obj_id})
                 if delta < best_delta:
                     best_delta = delta

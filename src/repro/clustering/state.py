@@ -5,13 +5,24 @@ A :class:`Clustering` is a partition of the objects of a
 the object every algorithm in the library manipulates: the batch
 hill-climber, DBSCAN, the Naive/Greedy baselines, and DynamicC itself.
 
-Two design points matter for performance and for the paper's method:
+Three design points matter for performance and for the paper's method:
 
-* **Incremental intra-similarity sums.** Each cluster carries the sum of
-  stored edge similarities among its members (``S_intra`` of §3.2),
-  updated in O(edges touched) on every merge/split/move. Feature
-  extraction (§5.1) and the correlation objective (Eq. 1) read these
-  sums instead of recomputing them.
+* **Incremental statistics.** Three sums are maintained under every
+  mutation, so no read has to rescan edges:
+
+  - per cluster, the sum of stored edge similarities among its members
+    (``S_intra`` of §3.2), which feature extraction (§5.1) and the
+    correlation objective (Eq. 1) read;
+  - per pair of clusters sharing an edge, their summed cross similarity
+    (the cluster adjacency behind ``neighbor_clusters``);
+  - per object, the summed similarity of its stored edges to the other
+    members of its cluster (its *link weight*), which ranks split
+    candidates (Algorithm 2, §6.3) through :meth:`Clustering.weakest_members`.
+
+  ``add_singleton``, ``remove_object``, ``split`` and ``move`` keep all
+  three inside the edge loops they already run over the touched
+  objects; ``merge`` keeps the first two from the two clusters' rows
+  and pays for link weights with one scan of the smaller side's edges.
 * **Fresh cluster ids.** Merges and splits mint new cluster ids rather
   than reusing inputs, so a cluster id uniquely identifies a cluster
   *value* over time — which is what the evolution log (§4) needs to
@@ -23,6 +34,15 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.similarity.graph import SimilarityGraph
+
+#: Link weights are maintained incrementally, so their float rounding
+#: differs from a fresh row-order sum; every maintained weight stays
+#: within ``SLACK / 2`` of that sum (``check_invariants`` asserts it).
+#: One update rounds by at most 2**-53 of the weight, so a weight of
+#: 1000 drifts that far only after over four million updates of one
+#: object all rounding the same way; ``split`` and ``move`` re-sum the
+#: weights of the objects they detach.
+SLACK = 1e-6
 
 
 class Clustering:
@@ -49,6 +69,9 @@ class Clustering:
         # similarity}. Maintained incrementally on every mutation so
         # neighbour lookups are O(#neighbour clusters), not O(edges).
         self._adj: dict[int, dict[int, float]] = {}
+        # Link weights: obj_id -> summed similarity of its stored edges to
+        # the other members of its cluster (see ``weakest_members``).
+        self._link: dict[int, float] = {}
         self._next_cluster_id = 0
         #: Monotonic counter bumped on every mutation; objective-function
         #: caches key on it.
@@ -123,6 +146,7 @@ class Clustering:
         dup._cluster_of = dict(self._cluster_of)
         dup._intra = dict(self._intra)
         dup._adj = {cid: dict(row) for cid, row in self._adj.items()}
+        dup._link = dict(self._link)
         dup._next_cluster_id = self._next_cluster_id
         dup.version = self.version
         return dup
@@ -149,6 +173,34 @@ class Clustering:
     def intra_weight(self, cid: int) -> float:
         """Sum of stored edge similarities among members (``S_intra``)."""
         return self._intra[cid]
+
+    def weakest_members(self, cid: int, limit: int | None = None) -> list[int]:
+        """Members ordered by ascending similarity to the rest of the cluster.
+
+        A member's key is ``(sum of its stored edges to the other members,
+        obj_id)``, the sum taken in adjacency-row order; the first
+        ``limit`` members are returned (all of them for ``None``). Only a
+        shortlist is summed: the members whose maintained link weight is
+        at most the ``limit``-th smallest plus ``SLACK``. As every link
+        weight is within ``SLACK / 2`` of its row-order sum, a member left
+        out has at least ``limit`` members strictly below it, so the
+        result equals the full sort's first ``limit``.
+        """
+        members = self._members[cid]
+        pool: Iterable[int] = members
+        if limit is not None and 0 < limit < len(members):
+            link = self._link
+            cutoff = sorted(map(link.__getitem__, members))[limit - 1] + SLACK
+            pool = [obj_id for obj_id in members if link[obj_id] <= cutoff]
+        neighbors = self.graph.neighbors
+        ranked = sorted(
+            (
+                sum(sim for other, sim in neighbors(obj_id).items() if other in members),
+                obj_id,
+            )
+            for obj_id in pool
+        )
+        return [obj_id for _, obj_id in ranked[:limit]]
 
     def pair_count(self, cid: int) -> int:
         """Number of unordered member pairs ``n(n-1)/2``."""
@@ -203,6 +255,7 @@ class Clustering:
         self._cluster_of[obj_id] = cid
         self._intra[cid] = 0.0
         self._adj[cid] = {}
+        self._link[obj_id] = 0.0
         for other, sim in self.graph.neighbors(obj_id).items():
             other_cid = self._cluster_of.get(other)
             if other_cid is not None and other_cid != cid:
@@ -221,10 +274,13 @@ class Clustering:
         cid = self._cluster_of.pop(obj_id)
         members = self._members[cid]
         members.discard(obj_id)
+        link = self._link
+        del link[obj_id]
         removed_intra = 0.0
         for other, sim in self.graph.neighbors(obj_id).items():
             if other in members:
                 removed_intra += sim
+                link[other] -= sim
             else:
                 other_cid = self._cluster_of.get(other)
                 if other_cid is not None and other_cid != cid:
@@ -254,6 +310,21 @@ class Clustering:
         self._intra[new_cid] = self._intra.pop(cid_a) + self._intra.pop(cid_b) + cross
         for obj_id in merged:
             self._cluster_of[obj_id] = new_cid
+        # Link weights gain the cross edges, found from the smaller side.
+        small, large = (
+            (members_a, members_b)
+            if len(members_a) <= len(members_b)
+            else (members_b, members_a)
+        )
+        link = self._link
+        neighbors = self.graph.neighbors
+        for obj_id in small:
+            gained = 0.0
+            for other, sim in neighbors(obj_id).items():
+                if other in large:
+                    gained += sim
+                    link[other] += sim
+            link[obj_id] += gained
         # Combine adjacency rows (the mutual entry becomes intra weight).
         combined: dict[int, float] = {}
         for row, partner in ((row_a, cid_b), (row_b, cid_a)):
@@ -283,19 +354,26 @@ class Clustering:
         rest = members - part_set
         part_intra = 0.0
         cross = 0.0
+        link = self._link
         # The part side's external adjacency, computed from its edges.
+        # Part members' link weights are summed afresh; the rest's lose
+        # their edges into the part.
         part_row: dict[int, float] = {}
         for obj_id in part_set:
+            kept = 0.0
             for other, sim in self.graph.neighbors(obj_id).items():
                 if other in part_set:
+                    kept += sim
                     if obj_id < other:
                         part_intra += sim
                 elif other in rest:
                     cross += sim
+                    link[other] -= sim
                 else:
                     other_cid = self._cluster_of.get(other)
                     if other_cid is not None and other_cid != cid:
                         part_row[other_cid] = part_row.get(other_cid, 0.0) + sim
+            link[obj_id] = kept
         rest_intra = self._intra[cid] - part_intra - cross
 
         old_row = self._adj.pop(cid)
@@ -351,11 +429,14 @@ class Clustering:
         detached_weight = 0.0
         attached_weight = 0.0
         third_party: dict[int, float] = {}
+        link = self._link
         for other, sim in self.graph.neighbors(obj_id).items():
             if other in source_members and other != obj_id:
                 detached_weight += sim
+                link[other] -= sim
             elif other in target_members:
                 attached_weight += sim
+                link[other] += sim
             else:
                 other_cid = self._cluster_of.get(other)
                 if other_cid is not None:
@@ -375,6 +456,7 @@ class Clustering:
             del self._intra[from_cid]
             self._adj_drop_cluster(from_cid)
         target_members.add(obj_id)
+        link[obj_id] = attached_weight
         self._intra[to_cid] += attached_weight
         for other_cid, weight in third_party.items():
             if other_cid != to_cid:
@@ -420,12 +502,21 @@ class Clustering:
             seen |= members
             for obj_id in members:
                 assert self._cluster_of[obj_id] == cid
+                fresh = sum(
+                    sim
+                    for other, sim in self.graph.neighbors(obj_id).items()
+                    if other in members
+                )
+                assert abs(self._link[obj_id] - fresh) <= SLACK / 2, (
+                    f"link weight drift on object {obj_id}: "
+                    f"{self._link[obj_id]} != {fresh}"
+                )
             expected = self.graph.intra_weight(members)
             assert abs(self._intra[cid] - expected) < 1e-6, (
                 f"intra weight drift on cluster {cid}: "
                 f"{self._intra[cid]} != {expected}"
             )
-        assert seen == set(self._cluster_of)
+        assert seen == set(self._cluster_of) == set(self._link)
         # Cluster adjacency must match a from-scratch recomputation.
         for cid, members in self._members.items():
             expected_adj: dict[int, float] = {}

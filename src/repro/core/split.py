@@ -8,6 +8,14 @@ the cluster (ascending — the stated prioritisation; the paper's
 intent, see DESIGN.md). The first candidate whose removal improves the
 objective is split into a fresh singleton cluster.
 
+Ranking reads :meth:`Clustering.weakest_members`. The clustering
+maintains every member's link weight (its summed similarity to the rest
+of its cluster) under each mutation, so a ranking cut to
+``split_attempt_limit`` members sums fresh weights only over a
+shortlist of near-weakest members instead of every member's full
+adjacency row; the order and the floats compared are those of the full
+row-order sort.
+
 Splitting one object at a time is deliberate (§6.3): later rounds —
 and later iterations of Algorithm 3's alternating loop — re-predict and
 continue splitting if the cluster still looks unstable, and observed
@@ -47,16 +55,7 @@ def rank_split_candidates(clustering: Clustering, cid: int) -> list[int]:
     The weight of member r is the inter-similarity between {r} and
     C − {r}: the sum of r's stored edges into the rest of the cluster.
     """
-    members = clustering.members_view(cid)
-    graph = clustering.graph
-    weighted = []
-    for obj_id in members:
-        weight = sum(
-            sim for other, sim in graph.neighbors(obj_id).items() if other in members
-        )
-        weighted.append((weight, obj_id))
-    weighted.sort()
-    return [obj_id for _, obj_id in weighted]
+    return clustering.weakest_members(cid)
 
 
 def split_algorithm(
@@ -93,9 +92,7 @@ def split_algorithm(
         if not clustering.contains_cluster(cid) or clustering.size(cid) < 2:
             continue
         split_done = False
-        ranked_members = rank_split_candidates(clustering, cid)
-        if config.split_attempt_limit is not None:
-            ranked_members = ranked_members[: config.split_attempt_limit]
+        ranked_members = clustering.weakest_members(cid, config.split_attempt_limit)
         for obj_id in ranked_members:
             part = {obj_id}
             if config.verify_with_objective:
