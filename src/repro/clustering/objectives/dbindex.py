@@ -324,11 +324,22 @@ class DBIndexObjective(ObjectiveFunction):
         sigma_p = self._sigma_from(intra_part, len(part_set))
         sigma_r = self._sigma_from(intra_rest, len(rest))
 
+        # ``Clustering.split`` divides the old adjacency row and keeps
+        # only the halves (and the mutual cross) above ``_ADJ_EPS``.
+        eps = Clustering._ADJ_EPS
+        row = clustering.neighbor_clusters(cid)
+        nbrs_p = {
+            other: weight
+            for other, weight in nbrs_p.items()
+            if weight > eps and other in row
+        }
         nbrs_r: dict[int, float] = {}
-        for other_cid, weight in clustering.neighbor_clusters(cid).items():
+        for other_cid, weight in row.items():
             remaining = weight - nbrs_p.get(other_cid, 0.0)
-            if remaining > 1e-12:
+            if remaining > eps:
                 nbrs_r[other_cid] = remaining
+        if cross_pr <= eps:
+            cross_pr = 0.0
 
         def ratio(sigma_x, size_x, sigma_y, size_y, cross) -> float:
             d = max(1.0 - cross / (size_x * size_y), floor)
@@ -422,9 +433,19 @@ class DBIndexObjective(ObjectiveFunction):
             clustering.intra_weight(to_cid) + w_r_target, size_t_new
         )
 
+        # Cross weights as ``Clustering.move`` leaves them: it adds and
+        # subtracts only weights above ``_ADJ_EPS`` and drops any entry
+        # left at or below it.
+        eps = Clustering._ADJ_EPS
         cross_source = clustering.neighbor_clusters(from_cid)
         cross_target = clustering.neighbor_clusters(to_cid)
-        c_st_new = cross_source.get(to_cid, 0.0) - w_r_target + w_r_source
+        c_st_new = cross_source.get(to_cid, 0.0)
+        if w_r_target > eps:
+            c_st_new -= w_r_target
+            if c_st_new <= eps:
+                c_st_new = 0.0
+        if w_r_source > eps:
+            c_st_new += w_r_source
 
         others = (set(cross_source) | set(cross_target) | set(r_out)) - {
             from_cid,
@@ -433,11 +454,15 @@ class DBIndexObjective(ObjectiveFunction):
         new_cross_s: dict[int, float] = {}
         new_cross_t: dict[int, float] = {}
         for other in others:
-            cs = cross_source.get(other, 0.0) - r_out.get(other, 0.0)
-            ct = cross_target.get(other, 0.0) + r_out.get(other, 0.0)
-            if cs > 1e-12:
+            cs = cross_source.get(other, 0.0)
+            ct = cross_target.get(other, 0.0)
+            weight = r_out.get(other, 0.0)
+            if weight > eps:
+                cs -= weight
+                ct += weight
+            if cs > eps:
                 new_cross_s[other] = cs
-            if ct > 1e-12:
+            if ct > eps:
                 new_cross_t[other] = ct
 
         def ratio(sigma_x, size_x, sigma_y, size_y, cross) -> float:
@@ -453,7 +478,7 @@ class DBIndexObjective(ObjectiveFunction):
                     r_s_new,
                     ratio(sigma_s_new, size_s_new, sigmas[other], sizes[other], cs),
                 )
-            if c_st_new > 1e-12:
+            if c_st_new > 0.0:
                 r_s_new = max(
                     r_s_new,
                     ratio(sigma_s_new, size_s_new, sigma_t_new, size_t_new, c_st_new),
@@ -466,7 +491,7 @@ class DBIndexObjective(ObjectiveFunction):
                 r_t_new,
                 ratio(sigma_t_new, size_t_new, sigmas[other], sizes[other], ct),
             )
-        if sigma_s_new is not None and c_st_new > 1e-12:
+        if sigma_s_new is not None and c_st_new > 0.0:
             r_t_new = max(
                 r_t_new,
                 ratio(sigma_t_new, size_t_new, sigma_s_new, size_s_new, c_st_new),

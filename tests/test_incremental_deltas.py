@@ -126,6 +126,27 @@ class TestDeltasMatchExactOracle:
                 ), f"{objective.name} delta_merge_group seed={seed}"
 
 
+class TestSubEpsilonEdges:
+    """Edges at or below ``Clustering._ADJ_EPS`` are stored (the graph
+    accepts thresholds down to 0) but never enter the cluster adjacency;
+    the deltas must prune cross weights the way the mutations do."""
+
+    def test_split_and_move_match_oracle(self):
+        graph = SimilarityGraph(EuclideanSimilarity(scale=1.0), store_threshold=1e-15)
+        for obj_id, x in enumerate((0.0, 0.1, 21.5, 21.6)):
+            graph.add_object(obj_id, np.array([x, 0.0]))
+        assert 0.0 < graph.neighbors(0)[3] <= Clustering._ADJ_EPS
+        clustering = Clustering.from_labels(graph, {0: 0, 1: 0, 2: 0, 3: 1})
+        source, target = clustering.cluster_of(0), clustering.cluster_of(3)
+        objective, oracle = DBIndexObjective(), DBIndexObjective()
+        assert objective.delta_split(clustering, source, {2}) == pytest.approx(
+            oracle.exact_delta_split(clustering, source, {2}), abs=1e-9
+        )
+        assert objective.delta_move(clustering, 2, target) == pytest.approx(
+            oracle.exact_delta_move(clustering, 2, target), abs=1e-9
+        )
+
+
 class TestAggregatesSurviveLongSequences:
     @pytest.mark.parametrize("seed", [5, 6])
     def test_gateway_mutations_keep_caches_exact(self, seed):
