@@ -244,7 +244,6 @@ class HillClimbing:
         improves the objective is applied.
         """
         chain = [cid]
-        chain_sizes = clustering.size(cid)
         # Candidate pool: neighbours of anything in the chain.
         while len(chain) <= self.chain_depth:
             best_avg = self.chain_threshold
@@ -262,7 +261,6 @@ class HillClimbing:
             if best_next is None:
                 return False
             chain.append(best_next)
-            chain_sizes += clustering.size(best_next)
             if len(chain) >= 3:
                 delta = self.objective.delta_merge_group(clustering, chain)
                 if delta < -self.tolerance:

@@ -31,12 +31,24 @@ incremental algorithms — which is exactly why it is the stress-test
 workload for DynamicC. Evaluating it naively is O(k·neighbours) per
 query, so this implementation keeps per-cluster caches — R terms with
 their binding partner, plus scatter σ and size — keyed on the
-clustering's version counter and updated *exactly* on
-merges/splits/moves: a change only touches R_j for clusters adjacent to
-the touched clusters whose binding partner was touched, plus the new
-clusters themselves. Delta queries read σ and sizes straight from the
-caches (profiling shows recomputing scatter per neighbour per query
-dominated the whole serving hot path before these caches existed).
+clustering's version counter and updated *exactly* on merges, splits
+and moves, in work proportional to the clusters a change touches.
+Delta queries read σ and sizes straight from the caches (profiling
+shows recomputing scatter per neighbour per query dominated the whole
+serving hot path before these caches existed), and compute each
+neighbour's ratio to a hypothetical cluster once.
+
+After a change, a term is recomputed when its cluster is (or borders)
+a new or changed cluster, or when its binding partner was removed or
+changed. The rows of the added clusters find the first kind, and
+almost always the second too: a cluster bound to Y bordered Y, and it
+borders whatever replaced Y. The exception is a split or move that
+divides a cross weight into parts at or below ``Clustering._ADJ_EPS``;
+the adjacency drops those, so the bound cluster borders no added
+cluster. The split and move gateways therefore pass the rows the
+touched clusters had before the change: only clusters in those rows
+can have lost their binding this way, so no scan over every cached
+term is needed.
 """
 
 from __future__ import annotations
@@ -154,17 +166,23 @@ class DBIndexObjective(ObjectiveFunction):
 
     # ------------------------------------------------------------------
     # Exact local deltas
+    #
+    # Each neighbour's ratio to a hypothetical cluster is computed once:
+    # it bounds both the new cluster's R term and the neighbour's own.
+    # The neighbours' term changes are added to the total after the new
+    # clusters' terms, in neighbour order; a change of zero is skipped
+    # (adding 0.0 to a positive total is exact).
     # ------------------------------------------------------------------
     def delta_merge(self, clustering: Clustering, cid_a: int, cid_b: int) -> float:
         self._refresh(clustering)
         total = self._total
+        terms = self._terms
         sigmas = self._sigmas
         sizes = self._sizes
         floor = self.distance_floor
 
         # Hypothetical merged cluster statistics.
-        size_a, size_b = sizes[cid_a], sizes[cid_b]
-        size_m = size_a + size_b
+        size_m = sizes[cid_a] + sizes[cid_b]
         cross_ab = clustering.cross_weight(cid_a, cid_b)
         intra_m = (
             clustering.intra_weight(cid_a) + clustering.intra_weight(cid_b) + cross_ab
@@ -175,11 +193,11 @@ class DBIndexObjective(ObjectiveFunction):
         nbrs: dict[int, float] = {}
         for source in (cid_a, cid_b):
             for other, cross in clustering.neighbor_clusters(source).items():
-                if other not in (cid_a, cid_b):
+                if other != cid_a and other != cid_b:
                     nbrs[other] = nbrs.get(other, 0.0) + cross
 
-        # R term of the merged cluster.
         r_m = sigma_m
+        changes = []
         for other, cross in nbrs.items():
             d = 1.0 - cross / (size_m * sizes[other])
             if d < floor:
@@ -187,25 +205,21 @@ class DBIndexObjective(ObjectiveFunction):
             ratio = (sigma_m + sigmas[other]) / d
             if ratio > r_m:
                 r_m = ratio
-
-        new_total = total - self._terms[cid_a][0] - self._terms[cid_b][0] + r_m
-
-        # Update affected neighbours.
-        for other, cross in nbrs.items():
-            old_r, old_partner = self._terms[other]
-            d = 1.0 - cross / (size_m * sizes[other])
-            if d < floor:
-                d = floor
-            ratio_with_m = (sigmas[other] + sigma_m) / d
-            if old_partner in (cid_a, cid_b):
-                new_r = self._term_excluding(
-                    clustering, other, exclude=(cid_a, cid_b)
-                )
-                new_r = max(new_r, ratio_with_m)
+            term = terms[other]
+            partner = term[1]
+            if partner == cid_a or partner == cid_b:
+                new_r = self._term_excluding(clustering, other, (cid_a, cid_b))
+                if ratio > new_r:
+                    new_r = ratio
+            elif ratio > term[0]:
+                new_r = ratio
             else:
-                new_r = max(old_r, ratio_with_m)
-            new_total += new_r - old_r
+                continue
+            changes.append(new_r - term[0])
 
+        new_total = total - terms[cid_a][0] - terms[cid_b][0] + r_m
+        for change in changes:
+            new_total += change
         return new_total - total
 
     def delta_merge_group(self, clustering: Clustering, cids: list[int]) -> float:
@@ -221,6 +235,7 @@ class DBIndexObjective(ObjectiveFunction):
             return 0.0
         self._refresh(clustering)
         total = self._total
+        terms = self._terms
         sigmas = self._sigmas
         sizes = self._sizes
         floor = self.distance_floor
@@ -239,7 +254,9 @@ class DBIndexObjective(ObjectiveFunction):
         intra_m += internal_cross / 2.0
         sigma_m = self._sigma_from(intra_m, size_m)
 
+        exclude = tuple(group)
         r_m = sigma_m
+        changes = []
         for other, cross in nbrs.items():
             d = 1.0 - cross / (size_m * sizes[other])
             if d < floor:
@@ -247,25 +264,20 @@ class DBIndexObjective(ObjectiveFunction):
             ratio = (sigma_m + sigmas[other]) / d
             if ratio > r_m:
                 r_m = ratio
-
-        new_total = total - sum(self._terms[cid][0] for cid in group) + r_m
-
-        exclude = tuple(group)
-        for other, cross in nbrs.items():
-            old_r, old_partner = self._terms[other]
-            d = 1.0 - cross / (size_m * sizes[other])
-            if d < floor:
-                d = floor
-            ratio_with_m = (sigmas[other] + sigma_m) / d
-            if old_partner in group:
-                new_r = max(
-                    self._term_excluding(clustering, other, exclude=exclude),
-                    ratio_with_m,
-                )
+            term = terms[other]
+            if term[1] in group:
+                new_r = self._term_excluding(clustering, other, exclude)
+                if ratio > new_r:
+                    new_r = ratio
+            elif ratio > term[0]:
+                new_r = ratio
             else:
-                new_r = max(old_r, ratio_with_m)
-            new_total += new_r - old_r
+                continue
+            changes.append(new_r - term[0])
 
+        new_total = total - sum(terms[cid][0] for cid in group) + r_m
+        for change in changes:
+            new_total += change
         return new_total - total
 
     def _term_excluding(
@@ -297,6 +309,7 @@ class DBIndexObjective(ObjectiveFunction):
         if not part_set or not rest:
             raise ValueError("part must be a non-empty proper subset")
         total = self._total
+        terms = self._terms
         sigmas = self._sigmas
         sizes = self._sizes
         floor = self.distance_floor
@@ -321,8 +334,10 @@ class DBIndexObjective(ObjectiveFunction):
                         nbrs_p[other_cid] = nbrs_p.get(other_cid, 0.0) + sim
         intra_rest = clustering.intra_weight(cid) - intra_part - cross_pr
 
-        sigma_p = self._sigma_from(intra_part, len(part_set))
-        sigma_r = self._sigma_from(intra_rest, len(rest))
+        size_p = len(part_set)
+        size_r = len(rest)
+        sigma_p = self._sigma_from(intra_part, size_p)
+        sigma_r = self._sigma_from(intra_rest, size_r)
 
         # ``Clustering.split`` divides the old adjacency row and keeps
         # only the halves (and the mutual cross) above ``_ADJ_EPS``.
@@ -338,53 +353,56 @@ class DBIndexObjective(ObjectiveFunction):
             remaining = weight - nbrs_p.get(other_cid, 0.0)
             if remaining > eps:
                 nbrs_r[other_cid] = remaining
-        if cross_pr <= eps:
-            cross_pr = 0.0
-
-        def ratio(sigma_x, size_x, sigma_y, size_y, cross) -> float:
-            d = max(1.0 - cross / (size_x * size_y), floor)
-            return (sigma_x + sigma_y) / d
 
         # R terms of the two new clusters (they also neighbour each other
-        # when cross_pr > 0).
-        def new_term(sigma_x, size_x, nbrs, sigma_other, size_other, cross_other):
-            best = sigma_x
-            for other, cross in nbrs.items():
-                best = max(
-                    best, ratio(sigma_x, size_x, sigmas[other], sizes[other], cross)
-                )
-            if cross_other > 0.0:
-                best = max(
-                    best, ratio(sigma_x, size_x, sigma_other, size_other, cross_other)
-                )
-            return best
+        # when the cross weight between them survives).
+        r_p = sigma_p
+        r_r = sigma_r
+        if cross_pr > eps:
+            d = 1.0 - cross_pr / (size_p * size_r)
+            if d < floor:
+                d = floor
+            ratio = (sigma_p + sigma_r) / d
+            if ratio > r_p:
+                r_p = ratio
+            if ratio > r_r:
+                r_r = ratio
 
-        r_p = new_term(sigma_p, len(part_set), nbrs_p, sigma_r, len(rest), cross_pr)
-        r_r = new_term(sigma_r, len(rest), nbrs_r, sigma_p, len(part_set), cross_pr)
-
-        new_total = total - self._terms[cid][0] + r_p + r_r
-
-        # Update neighbours of the old cluster.
+        changes = []
         for other in set(nbrs_p) | set(nbrs_r):
-            old_r, old_partner = self._terms[other]
             sigma_o = sigmas[other]
             size_o = sizes[other]
-            candidates = []
-            if other in nbrs_p:
-                candidates.append(
-                    ratio(sigma_o, size_o, sigma_p, len(part_set), nbrs_p[other])
-                )
-            if other in nbrs_r:
-                candidates.append(
-                    ratio(sigma_o, size_o, sigma_r, len(rest), nbrs_r[other])
-                )
-            if old_partner == cid:
-                new_r = self._term_excluding(clustering, other, exclude=(cid,))
-                new_r = max([new_r] + candidates)
+            term = terms[other]
+            if term[1] == cid:
+                new_r = self._term_excluding(clustering, other, (cid,))
             else:
-                new_r = max([old_r] + candidates)
-            new_total += new_r - old_r
+                new_r = term[0]
+            cross = nbrs_p.get(other)
+            if cross is not None:
+                d = 1.0 - cross / (size_p * size_o)
+                if d < floor:
+                    d = floor
+                ratio = (sigma_p + sigma_o) / d
+                if ratio > r_p:
+                    r_p = ratio
+                if ratio > new_r:
+                    new_r = ratio
+            cross = nbrs_r.get(other)
+            if cross is not None:
+                d = 1.0 - cross / (size_r * size_o)
+                if d < floor:
+                    d = floor
+                ratio = (sigma_r + sigma_o) / d
+                if ratio > r_r:
+                    r_r = ratio
+                if ratio > new_r:
+                    new_r = ratio
+            if new_r != term[0]:
+                changes.append(new_r - term[0])
 
+        new_total = total - terms[cid][0] + r_p + r_r
+        for change in changes:
+            new_total += change
         return new_total - total
 
     def delta_move(self, clustering: Clustering, obj_id: int, to_cid: int) -> float:
@@ -402,12 +420,12 @@ class DBIndexObjective(ObjectiveFunction):
         self._refresh(clustering)
         graph = clustering.graph
         total = self._total
+        terms = self._terms
         sigmas = self._sigmas
         sizes = self._sizes
         floor = self.distance_floor
         source = clustering.members_view(from_cid)
         target = clustering.members_view(to_cid)
-        size_s, size_t = len(source), len(target)
 
         # The object's edge weight into source (minus itself), target, others.
         w_r_source = 0.0
@@ -422,15 +440,16 @@ class DBIndexObjective(ObjectiveFunction):
                 other_cid = clustering.cluster_of(other)
                 r_out[other_cid] = r_out.get(other_cid, 0.0) + sim
 
-        size_s_new = size_s - 1
-        size_t_new = size_t + 1
-        sigma_s_new = (
-            self._sigma_from(clustering.intra_weight(from_cid) - w_r_source, size_s_new)
-            if size_s_new
-            else None
+        size_s = len(source) - 1
+        size_t = len(target) + 1
+        source_survives = size_s > 0
+        sigma_s = (
+            self._sigma_from(clustering.intra_weight(from_cid) - w_r_source, size_s)
+            if source_survives
+            else 0.0
         )
-        sigma_t_new = self._sigma_from(
-            clustering.intra_weight(to_cid) + w_r_target, size_t_new
+        sigma_t = self._sigma_from(
+            clustering.intra_weight(to_cid) + w_r_target, size_t
         )
 
         # Cross weights as ``Clustering.move`` leaves them: it adds and
@@ -439,20 +458,34 @@ class DBIndexObjective(ObjectiveFunction):
         eps = Clustering._ADJ_EPS
         cross_source = clustering.neighbor_clusters(from_cid)
         cross_target = clustering.neighbor_clusters(to_cid)
-        c_st_new = cross_source.get(to_cid, 0.0)
-        if w_r_target > eps:
-            c_st_new -= w_r_target
-            if c_st_new <= eps:
-                c_st_new = 0.0
-        if w_r_source > eps:
-            c_st_new += w_r_source
+
+        # New terms of the shrunken source (when it survives) and the
+        # grown target, starting from their mutual ratio.
+        r_s = sigma_s
+        r_t = sigma_t
+        if source_survives:
+            c_st = cross_source.get(to_cid, 0.0)
+            if w_r_target > eps:
+                c_st -= w_r_target
+                if c_st <= eps:
+                    c_st = 0.0
+            if w_r_source > eps:
+                c_st += w_r_source
+            if c_st > 0.0:
+                d = 1.0 - c_st / (size_s * size_t)
+                if d < floor:
+                    d = floor
+                ratio = (sigma_s + sigma_t) / d
+                if ratio > r_s:
+                    r_s = ratio
+                if ratio > r_t:
+                    r_t = ratio
 
         others = (set(cross_source) | set(cross_target) | set(r_out)) - {
             from_cid,
             to_cid,
         }
-        new_cross_s: dict[int, float] = {}
-        new_cross_t: dict[int, float] = {}
+        changes = []
         for other in others:
             cs = cross_source.get(other, 0.0)
             ct = cross_target.get(other, 0.0)
@@ -460,70 +493,38 @@ class DBIndexObjective(ObjectiveFunction):
             if weight > eps:
                 cs -= weight
                 ct += weight
-            if cs > eps:
-                new_cross_s[other] = cs
-            if ct > eps:
-                new_cross_t[other] = ct
-
-        def ratio(sigma_x, size_x, sigma_y, size_y, cross) -> float:
-            d = max(1.0 - cross / (size_x * size_y), floor)
-            return (sigma_x + sigma_y) / d
-
-        # New term for the shrunken source (when it survives).
-        r_s_new = 0.0
-        if sigma_s_new is not None:
-            r_s_new = sigma_s_new
-            for other, cs in new_cross_s.items():
-                r_s_new = max(
-                    r_s_new,
-                    ratio(sigma_s_new, size_s_new, sigmas[other], sizes[other], cs),
-                )
-            if c_st_new > 0.0:
-                r_s_new = max(
-                    r_s_new,
-                    ratio(sigma_s_new, size_s_new, sigma_t_new, size_t_new, c_st_new),
-                )
-
-        # New term for the grown target.
-        r_t_new = sigma_t_new
-        for other, ct in new_cross_t.items():
-            r_t_new = max(
-                r_t_new,
-                ratio(sigma_t_new, size_t_new, sigmas[other], sizes[other], ct),
-            )
-        if sigma_s_new is not None and c_st_new > 0.0:
-            r_t_new = max(
-                r_t_new,
-                ratio(sigma_t_new, size_t_new, sigma_s_new, size_s_new, c_st_new),
-            )
-
-        new_total = (
-            total - self._terms[from_cid][0] - self._terms[to_cid][0] + r_s_new + r_t_new
-        )
-
-        # Affected third-party clusters.
-        for other in others:
-            old_r, old_partner = self._terms[other]
             sigma_o = sigmas[other]
             size_o = sizes[other]
-            candidates = []
-            if other in new_cross_s and sigma_s_new is not None:
-                candidates.append(
-                    ratio(sigma_o, size_o, sigma_s_new, size_s_new, new_cross_s[other])
-                )
-            if other in new_cross_t:
-                candidates.append(
-                    ratio(sigma_o, size_o, sigma_t_new, size_t_new, new_cross_t[other])
-                )
-            if old_partner in (from_cid, to_cid):
-                new_r = self._term_excluding(
-                    clustering, other, exclude=(from_cid, to_cid)
-                )
-                new_r = max([new_r] + candidates)
+            term = terms[other]
+            partner = term[1]
+            if partner == from_cid or partner == to_cid:
+                new_r = self._term_excluding(clustering, other, (from_cid, to_cid))
             else:
-                new_r = max([old_r] + candidates)
-            new_total += new_r - old_r
+                new_r = term[0]
+            if cs > eps and source_survives:
+                d = 1.0 - cs / (size_s * size_o)
+                if d < floor:
+                    d = floor
+                ratio = (sigma_s + sigma_o) / d
+                if ratio > r_s:
+                    r_s = ratio
+                if ratio > new_r:
+                    new_r = ratio
+            if ct > eps:
+                d = 1.0 - ct / (size_t * size_o)
+                if d < floor:
+                    d = floor
+                ratio = (sigma_t + sigma_o) / d
+                if ratio > r_t:
+                    r_t = ratio
+                if ratio > new_r:
+                    new_r = ratio
+            if new_r != term[0]:
+                changes.append(new_r - term[0])
 
+        new_total = total - terms[from_cid][0] - terms[to_cid][0] + r_s + r_t
+        for change in changes:
+            new_total += change
         return new_total - total
 
     # ------------------------------------------------------------------
@@ -539,15 +540,23 @@ class DBIndexObjective(ObjectiveFunction):
         self, clustering: Clustering, cid: int, part: Iterable[int]
     ) -> tuple[int, int]:
         self._refresh(clustering)
+        bordering = tuple(clustering.neighbor_clusters(cid))
         rest_cid, part_cid = clustering.split(cid, set(part))
         self._rebuild_after_change(
-            clustering, removed=(cid,), added=(rest_cid, part_cid)
+            clustering,
+            removed=(cid,),
+            added=(rest_cid, part_cid),
+            bordering=bordering,
         )
         return rest_cid, part_cid
 
     def apply_move(self, clustering: Clustering, obj_id: int, to_cid: int) -> int:
         self._refresh(clustering)
         from_cid = clustering.cluster_of(obj_id)
+        bordering = (
+            *clustering.neighbor_clusters(from_cid),
+            *clustering.neighbor_clusters(to_cid),
+        )
         result = clustering.move(obj_id, to_cid)
         source_survives = clustering.contains_cluster(from_cid)
         self._rebuild_after_change(
@@ -555,6 +564,7 @@ class DBIndexObjective(ObjectiveFunction):
             removed=() if source_survives else (from_cid,),
             added=((from_cid,) if source_survives else ()) + (to_cid,),
             stale_partners=(from_cid, to_cid),
+            bordering=bordering,
         )
         return result
 
@@ -564,18 +574,23 @@ class DBIndexObjective(ObjectiveFunction):
         removed: tuple[int, ...],
         added: tuple[int, ...],
         stale_partners: tuple[int, ...] = (),
+        bordering: tuple[int, ...] = (),
     ) -> None:
         """Update cached terms after an applied merge/split/move (exact).
 
         ``stale_partners`` lists surviving cluster ids whose statistics
-        changed in place (the source/target of a move): clusters bound
-        to them must be refreshed even though the ids still exist.
+        changed in place (the source/target of a move). ``bordering``
+        lists the clusters that bordered a removed or changed cluster
+        before the change; only a split or a move can leave one of them
+        bordering no added cluster (see the module docstring), and a
+        merge passes none.
         """
+        terms = self._terms
+        total = self._total
         for cid in removed:
-            term, _ = self._terms.pop(cid)
+            total -= terms.pop(cid)[0]
             self._sigmas.pop(cid, None)
             self._sizes.pop(cid, None)
-            self._total -= term
 
         # σ/size of the new (or in-place-changed) clusters first — the
         # term recomputations below read them from the caches.
@@ -586,19 +601,23 @@ class DBIndexObjective(ObjectiveFunction):
         affected: set[int] = set(added)
         for cid in added:
             affected.update(clustering.neighbor_clusters(cid))
-        # Clusters whose binding partner vanished or changed in place
-        # must also be refreshed.
-        stale = set(removed) | set(stale_partners)
-        for cid, (_, partner) in list(self._terms.items()):
-            if partner in stale:
+
+        # A former neighbour that now borders no added cluster (its cross
+        # weight fell to ≤ ε) must still be refreshed if it was bound to
+        # a removed or changed cluster.
+        stale = removed + stale_partners
+        for cid in bordering:
+            if cid not in affected and cid in terms and terms[cid][1] in stale:
                 affected.add(cid)
 
         for cid in affected:
-            if cid in self._terms:
-                self._total -= self._terms[cid][0]
+            old = terms.get(cid)
+            if old is not None:
+                total -= old[0]
             term = self._term(clustering, cid)
-            self._terms[cid] = term
-            self._total += term[0]
+            terms[cid] = term
+            total += term[0]
 
+        self._total = total
         self._cached_version = clustering.version
         self._cached_clustering = clustering

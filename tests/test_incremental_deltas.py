@@ -9,7 +9,8 @@ Three guarantees the serving layer leans on:
   term/scatter caches, the Clustering intra/adjacency sums) survive
   long random merge/split/move sequences driven through the ``apply_*``
   gateways — a fresh objective rescoring from scratch agrees at every
-  checkpoint;
+  checkpoint, and the DB-index caches equal a fresh rebuild, bit for
+  bit, after every applied change;
 * the scoped greedy-pass hill climber (dirty-cluster worklist) produces
   exactly the clustering the exhaustive full-rescan greedy produces.
 """
@@ -187,6 +188,101 @@ class TestAggregatesSurviveLongSequences:
                     assert objective.score(clustering) == pytest.approx(
                         oracle.score(clustering.copy()), abs=1e-8
                     ), f"{objective.name} drifted at step {step} seed={seed}"
+
+
+def spread_graph(seed: int, n: int = 30) -> SimilarityGraph:
+    """Clumps about 21 apart storing every edge: cross-clump similarities
+    sit around ``Clustering._ADJ_EPS``, so splits and moves divide cross
+    weights into halves the adjacency drops."""
+    rng = random.Random(seed)
+    graph = SimilarityGraph(EuclideanSimilarity(scale=1.0), store_threshold=1e-15)
+    for obj_id in range(n):
+        clump = rng.randrange(3)
+        graph.add_object(
+            obj_id, np.array([21.0 * clump + rng.gauss(0, 0.3), rng.gauss(0, 0.3)])
+        )
+    return graph
+
+
+def assert_dbindex_cache_exact(objective: DBIndexObjective, clustering: Clustering):
+    """Every cached statistic equals a fresh objective's, bit for bit
+    (terms with their binding partners); the running total to 1e-8."""
+    fresh = DBIndexObjective()
+    fresh._refresh(clustering)
+    assert objective._cached_version == clustering.version
+    assert objective._sigmas == fresh._sigmas
+    assert objective._sizes == fresh._sizes
+    assert objective._terms == fresh._terms
+    assert objective._total == pytest.approx(fresh._total, abs=1e-8)
+
+
+def random_change(objective, clustering, rng) -> bool:
+    """Apply one random merge, split or move through the gateways."""
+    cids = list(clustering.cluster_ids())
+    op = rng.choice(("merge", "split", "move"))
+    if op == "merge" and len(cids) >= 2:
+        objective.apply_merge(clustering, *rng.sample(cids, 2))
+    elif op == "split":
+        cid = rng.choice(cids)
+        members = sorted(clustering.members_view(cid))
+        if len(members) < 2:
+            return False
+        objective.apply_split(clustering, cid, {rng.choice(members)})
+    else:
+        obj_id = rng.choice(sorted(clustering.labels()))
+        target = rng.choice(cids)
+        if clustering.cluster_of(obj_id) == target:
+            return False
+        objective.apply_move(clustering, obj_id, target)
+    return True
+
+
+class TestDBIndexCacheExactness:
+    """The DB-index caches (σ, sizes, R terms with their binding
+    partners) equal a fresh rebuild after *every* applied change."""
+
+    @pytest.mark.parametrize(
+        "make_graph,seed",
+        [(random_graph, 5), (random_graph, 6), (spread_graph, 7), (spread_graph, 8)],
+    )
+    def test_exact_after_every_change(self, make_graph, seed):
+        graph = make_graph(seed, n=30)
+        rng = random.Random(seed + 50)
+        clustering = random_clustering(graph, seed + 2)
+        objective = DBIndexObjective()
+        objective.score(clustering)
+        applied = 0
+        for _ in range(120):
+            if random_change(objective, clustering, rng):
+                applied += 1
+                assert_dbindex_cache_exact(objective, clustering)
+        assert applied >= 60
+        assert objective.score(clustering) == pytest.approx(
+            DBIndexObjective().score(clustering.copy()), abs=1e-8
+        )
+
+    def test_rebuild_catches_bindings_the_rows_drop(self):
+        """A cross weight in (ε, 2ε] that a split divides into two halves
+        at or below ε drops out of every row: the neighbour borders
+        neither half, yet its cached term was bound to the split cluster."""
+        graph = SimilarityGraph(EuclideanSimilarity(scale=1.0), store_threshold=1e-15)
+        points = [(-6.0, 0.0), (0.0, 0.0), (21.2, 1.13), (21.23, 0.0)]
+        for obj_id, point in enumerate(points):
+            graph.add_object(obj_id, np.array(point))
+        clustering = Clustering.from_labels(graph, {0: 0, 1: 1, 2: 2, 3: 2})
+        lone, pair = clustering.cluster_of(0), clustering.cluster_of(2)
+        objective = DBIndexObjective()
+        objective.score(clustering)
+        # Object 1's two sub-ε edges into the pair enter the adjacency
+        # as one summed weight when it moves.
+        objective.apply_move(clustering, 1, lone)
+        weight = clustering.neighbor_clusters(lone)[pair]
+        assert Clustering._ADJ_EPS < weight <= 2 * Clustering._ADJ_EPS
+        assert objective._terms[lone][1] == pair
+        objective.apply_split(clustering, pair, {3})
+        assert not clustering.neighbor_clusters(lone)
+        assert_dbindex_cache_exact(objective, clustering)
+        assert objective._terms[lone][1] is None
 
 
 class TestScopedGreedyEquivalence:
