@@ -50,6 +50,9 @@ class RoundStats:
     rejected: int = 0
     candidates_scored: int = 0
     moves_applied: int = 0
+    # 1 when the round stopped at ``max_full_iterations`` with its last
+    # iteration still applying changes (it did not converge).
+    capped: int = 0
 
 
 @dataclass
@@ -301,6 +304,8 @@ class DynamicC(IncrementalClusterer):
 
             if not merge_out.changed and not split_out.changed:
                 break
+        else:
+            stats.capped = 1
 
         if self.config.refine_moves:
             stats.moves_applied += self._move_refinement()

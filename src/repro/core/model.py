@@ -75,59 +75,42 @@ class DynamicCModel:
         split_X, split_y = buffer.split_matrix()
         if len(merge_y) == 0 and len(split_y) == 0:
             raise ValueError("training buffer is empty")
-        # A side with no samples at all (e.g. a workload whose batch
-        # evolution never split a cluster) gets a constant "no change"
-        # model — the correct prediction until such evolution is seen.
-        if len(merge_y):
-            self.merge_model = self._merge_factory().fit(merge_X, merge_y)
-            self.merge_theta = select_theta(
-                self.merge_model,
-                merge_X,
-                merge_y,
-                quantile=self.config.theta_quantile,
-                floor=self.config.theta_floor,
-            )
-        else:
-            self.merge_model = ConstantClassifier(0.0)
-            self.merge_theta = 0.5
-        if len(split_y):
-            self.split_model = self._split_factory().fit(split_X, split_y)
-            self.split_theta = select_theta(
-                self.split_model,
-                split_X,
-                split_y,
-                quantile=self.config.theta_quantile,
-                floor=self.config.theta_floor,
-            )
-        else:
-            self.split_model = ConstantClassifier(0.0)
-            self.split_theta = 0.5
+        self.merge_model, self.merge_theta, merge_accuracy, merge_recall = self._fit_one(
+            self._merge_factory, merge_X, merge_y
+        )
+        self.split_model, self.split_theta, split_accuracy, split_recall = self._fit_one(
+            self._split_factory, split_X, split_y
+        )
         return FitReport(
             merge_samples=len(merge_y),
             split_samples=len(split_y),
-            merge_accuracy=(
-                accuracy(merge_y, self.merge_model.predict(merge_X))
-                if len(merge_y)
-                else 1.0
-            ),
-            merge_recall=(
-                recall(merge_y, self.merge_model.predict(merge_X))
-                if len(merge_y)
-                else 1.0
-            ),
-            split_accuracy=(
-                accuracy(split_y, self.split_model.predict(split_X))
-                if len(split_y)
-                else 1.0
-            ),
-            split_recall=(
-                recall(split_y, self.split_model.predict(split_X))
-                if len(split_y)
-                else 1.0
-            ),
+            merge_accuracy=merge_accuracy,
+            merge_recall=merge_recall,
+            split_accuracy=split_accuracy,
+            split_recall=split_recall,
             merge_theta=self.merge_theta,
             split_theta=self.split_theta,
         )
+
+    def _fit_one(
+        self, factory: ModelFactory, X: np.ndarray, y: np.ndarray
+    ) -> tuple[BinaryClassifier, float, float, float]:
+        """One side's model, θ, and training accuracy and recall."""
+        # A side with no samples at all (e.g. a workload whose batch
+        # evolution never split a cluster) gets a constant "no change"
+        # model — the correct prediction until such evolution is seen.
+        if not len(y):
+            return ConstantClassifier(0.0), 0.5, 1.0, 1.0
+        model = factory().fit(X, y)
+        theta = select_theta(
+            model,
+            X,
+            y,
+            quantile=self.config.theta_quantile,
+            floor=self.config.theta_floor,
+        )
+        predicted = model.predict(X)
+        return model, theta, accuracy(y, predicted), recall(y, predicted)
 
     def _require_trained(self) -> None:
         if not self.is_trained:
@@ -143,14 +126,19 @@ class DynamicCModel:
         self._require_trained()
         if not features:
             return np.empty(0)
-        X = np.vstack([f.merge_vector() for f in features])
+        # One array of tuples: the columns of ClusterFeatures.merge_vector.
+        X = np.array(
+            [(f.intra, f.max_inter, f.size, f.partner_size) for f in features],
+            dtype=float,
+        )
         return self.merge_model.predict_proba(X)
 
     def split_probabilities(self, features: Sequence[ClusterFeatures]) -> np.ndarray:
         self._require_trained()
         if not features:
             return np.empty(0)
-        X = np.vstack([f.split_vector() for f in features])
+        # The columns of ClusterFeatures.split_vector.
+        X = np.array([(f.intra, f.max_inter, f.size) for f in features], dtype=float)
         return self.split_model.predict_proba(X)
 
     def merge_probability(self, features: ClusterFeatures) -> float:

@@ -225,6 +225,7 @@ def run_incremental(
                 "splits": stats.splits_applied,
                 "candidates": stats.candidates_scored,
                 "rejected": stats.rejected,
+                "capped": stats.capped,
             }
         run.rounds.append(
             RoundRecord(

@@ -53,6 +53,7 @@ class ShardMetrics:
     verifications: int = 0
     candidates_scored: int = 0
     rejected: int = 0
+    rounds_capped: int = 0
 
     def record_round(self, phase: str, n_ops: int, ignored: int, latency: float, round_stats=None) -> None:
         if phase == "observe":
@@ -69,6 +70,7 @@ class ShardMetrics:
             self.verifications += round_stats.verifications
             self.candidates_scored += round_stats.candidates_scored
             self.rejected += round_stats.rejected
+            self.rounds_capped += round_stats.capped
 
     def to_dict(self) -> dict:
         latency = self.round_latency.to_dict()
@@ -90,6 +92,7 @@ class ShardMetrics:
             "verifications": self.verifications,
             "candidates_scored": self.candidates_scored,
             "rejected": self.rejected,
+            "rounds_capped": self.rounds_capped,
         }
 
 

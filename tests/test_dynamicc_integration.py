@@ -84,6 +84,22 @@ class TestDynamicCLifecycle:
         for record in run.predict_rounds():
             assert record.extra["verifications"] >= 0
 
+    @pytest.mark.parametrize("cap", [1, 25])
+    def test_round_stopped_by_iteration_cap_is_counted(self, cora_workload, cap):
+        _, workload = cora_workload
+        config = DynamicCConfig(max_full_iterations=cap)
+        run = run_incremental(
+            workload,
+            lambda g: DynamicC(g, DBIndexObjective(), config=config, seed=2),
+            bootstrap=lambda g: HillClimbing(DBIndexObjective()).cluster(g),
+            train_rounds=3,
+        )
+        first = run.predict_rounds()[0].extra
+        # The round's single iteration changed the clustering, so under a
+        # cap of 1 it stopped without the converging no-change iteration.
+        assert first["merges"] + first["splits"] > 0
+        assert first["capped"] == (1 if cap == 1 else 0)
+
     def test_quality_close_to_batch(self, cora_workload, cora_reference):
         _, workload = cora_workload
         run = run_incremental(

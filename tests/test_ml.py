@@ -103,6 +103,138 @@ class TestLogisticRegression:
         assert recall(y, balanced.predict(X)) >= 0.9
 
 
+def _reference_sigmoid(z):
+    # The textbook form the fitted model must reproduce bit for bit.
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+
+
+def _reference_fit(X, y, learning_rate=0.5, l2=1e-3, max_iter=500, tol=1e-6, class_weight=None):
+    """Plain gradient descent: ``(scaler, coef, intercept, steps taken)``."""
+    scaler = StandardScaler()
+    data = scaler.fit_transform(X)
+    labels = np.asarray(y).astype(int)
+    n, d = data.shape
+    sample_weight = np.ones(n)
+    if class_weight == "balanced":
+        positives = max(int(labels.sum()), 1)
+        negatives = max(n - positives, 1)
+        sample_weight = np.where(labels == 1, n / (2 * positives), n / (2 * negatives))
+    weights = np.zeros(d)
+    intercept = 0.0
+    steps = 0
+    for _ in range(max_iter):
+        steps += 1
+        probabilities = _reference_sigmoid(data @ weights + intercept)
+        error = (probabilities - labels) * sample_weight
+        grad_w = data.T @ error / n + l2 * weights
+        grad_b = float(error.mean())
+        weights -= learning_rate * grad_w
+        intercept -= learning_rate * grad_b
+        if np.linalg.norm(grad_w) + abs(grad_b) < tol:
+            break
+    return scaler, weights, intercept, steps
+
+
+def _reference_proba(scaler, coef, intercept, X):
+    return _reference_sigmoid(scaler.transform(X) @ coef + intercept)
+
+
+def _assert_fit_matches_reference(X, y, **params):
+    model = LogisticRegressionClassifier(**params).fit(X, y)
+    scaler, coef, intercept, steps = _reference_fit(X, y, **params)
+    assert model.coef_.tobytes() == coef.tobytes()
+    assert float(model.intercept_).hex() == float(intercept).hex()
+    assert model.predict_proba(X).tobytes() == _reference_proba(scaler, coef, intercept, X).tobytes()
+    for row in X[:3]:
+        expected = _reference_proba(scaler, coef, intercept, row.reshape(1, -1))
+        assert model.predict_proba(row).tobytes() == expected.tobytes()
+    return scaler, coef, intercept, steps
+
+
+def _cluster_like(n, d, seed):
+    """Samples shaped like the §5.1 features: similarities in [0, 1], sizes."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack(
+        [rng.uniform(0, 1, n), rng.uniform(0, 0.5, n)]
+        + [rng.integers(1, 40, n).astype(float) for _ in range(d - 2)]
+    )
+    y = (X[:, 0] - X[:, 1] + rng.normal(0, 0.2, n) < 0.4).astype(int)
+    return X, y
+
+
+class TestLogisticBitIdentity:
+    """The fitted model equals the textbook loop float for float (no tolerance)."""
+
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 9, 31, 200, 2000])
+    def test_fit_and_proba(self, n, d, class_weight):
+        X, y = _cluster_like(n, d, seed=n * 10 + d)
+        _assert_fit_matches_reference(X, y, class_weight=class_weight)
+
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_constant_feature_column(self, class_weight):
+        X, y = _cluster_like(31, 4, seed=5)
+        X[:, 3] = 7.0
+        _assert_fit_matches_reference(X, y, class_weight=class_weight)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_single_class(self, label, class_weight):
+        X, _ = _cluster_like(9, 4, seed=6)
+        _assert_fit_matches_reference(X, np.full(9, label), class_weight=class_weight)
+
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_saturated_clip(self, class_weight):
+        X, y = _separable(n=40)
+        scaler, coef, intercept, _ = _assert_fit_matches_reference(
+            X, y, learning_rate=50.0, l2=0.0, class_weight=class_weight
+        )
+        assert np.max(np.abs(scaler.transform(X) @ coef + intercept)) > 35.0
+
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_early_stop(self, class_weight):
+        X, y = _cluster_like(31, 4, seed=7)
+        *_, steps = _assert_fit_matches_reference(X, y, tol=0.05, class_weight=class_weight)
+        assert 1 < steps < 500
+
+    def test_dynamicc_model_queries(self):
+        from repro.core.features import ClusterFeatures
+        from repro.core.model import DynamicCModel
+
+        X, y = _cluster_like(40, 4, seed=8)
+        model = DynamicCModel()
+        model.merge_model = LogisticRegressionClassifier().fit(X, y)
+        model.split_model = LogisticRegressionClassifier().fit(X[:, :3], y)
+        rng = np.random.default_rng(9)
+        features = [
+            ClusterFeatures(
+                intra=1.0 if i == 0 else float(rng.uniform()),
+                max_inter=np.float64(rng.uniform(0, 0.5)),
+                size=int(rng.integers(1, 60)),
+                partner_size=int(rng.integers(0, 60)),
+            )
+            for i in range(25)
+        ]
+
+        def old_path(classifier, vectors):
+            return _reference_proba(
+                classifier._scaler, classifier.coef_, classifier.intercept_, np.vstack(vectors)
+            )
+
+        merge_old = old_path(model.merge_model, [f.merge_vector() for f in features])
+        split_old = old_path(model.split_model, [f.split_vector() for f in features])
+        assert model.merge_probabilities(features).tobytes() == merge_old.tobytes()
+        assert model.split_probabilities(features).tobytes() == split_old.tobytes()
+        for feats in features:
+            assert model.merge_probability(feats) == float(
+                old_path(model.merge_model, [feats.merge_vector()])[0]
+            )
+            assert model.split_probability(feats) == float(
+                old_path(model.split_model, [feats.split_vector()])[0]
+            )
+
+
 class TestLinearSVM:
     def test_decision_function_sign(self):
         X, y = _separable()

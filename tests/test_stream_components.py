@@ -305,3 +305,14 @@ class TestMetrics:
         assert snapshot["shards"][0]["ops_ignored"] == 1
         assert snapshot["shards"][1]["round_latency"]["mean_s"] == pytest.approx(0.5)
         json.dumps(snapshot)  # must be JSON-compatible
+
+    def test_capped_rounds_are_summed(self):
+        from repro.core import RoundStats
+
+        registry = MetricsRegistry(1)
+        shard = registry.shard(0)
+        for capped in (1, 0, 1):
+            shard.record_round(
+                "predict", n_ops=5, ignored=0, latency=0.1, round_stats=RoundStats(capped=capped)
+            )
+        assert registry.snapshot()["shards"][0]["rounds_capped"] == 2
