@@ -8,8 +8,12 @@ over actual HTTP exactly the way a monitoring stack would:
 
 * ``/metrics`` must answer 200 with parseable Prometheus text carrying
   the tenant-labeled families (``tenant_ops_total``,
-  ``quota_rejections_total``, ``resident_tenants``…) and the freshness
-  families (``e2e_visibility_seconds``, commit/applied watermarks);
+  ``quota_rejections_total``, ``resident_tenants``…), the freshness
+  families (``e2e_visibility_seconds``, commit/applied watermarks) and
+  the stream, shard and engine families (``stream_batches_applied_total``,
+  ``shard_rounds_total``, ``engine_rounds_capped_total``…);
+* the values ``/metrics`` reports must equal the ``stats()`` numbers:
+  both views read the same instruments;
 * ``/metrics.json`` and ``/traces`` must answer 200 with valid JSON;
 * ``/healthz`` must answer 200;
 * ``/readyz`` must answer 200 with every health check reporting —
@@ -55,11 +59,12 @@ def scrape(address: str, path: str) -> bytes:
     raise AssertionError("unreachable")
 
 
-def validate_prometheus(text: str) -> dict[str, int]:
+def validate_prometheus(text: str) -> dict[str, dict[frozenset, float]]:
     """Minimal scraper-side validation: every sample line must parse
-    and belong to a # TYPE'd family. Returns sample counts per family."""
+    and belong to a # TYPE'd family. Returns sample values by sample
+    name (``_count``/``_sum`` lines under their own), then label set."""
     typed: set[str] = set()
-    counts: dict[str, int] = {}
+    samples: dict[str, dict[frozenset, float]] = {}
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -70,20 +75,79 @@ def validate_prometheus(text: str) -> dict[str, int]:
             continue
         body, _, value = line.rpartition(" ")
         try:
-            float(value)
+            number = float(value)
         except ValueError:
             fail(f"unparseable sample value in {line!r}")
-        name = body.partition("{")[0]
+        name, _, label_text = body.partition("{")
         base = name
         for suffix in ("_count", "_sum"):
             if name.endswith(suffix):
                 base = name[: -len(suffix)]
         if base not in typed:
             fail(f"sample {name!r} outside any # TYPE'd family")
-        counts[base] = counts.get(base, 0) + 1
-    if not counts:
+        labels = frozenset(
+            tuple(pair.split("=", 1))
+            for pair in label_text.rstrip("}").replace('"', "").split(",")
+            if pair
+        )
+        samples.setdefault(name, {})[labels] = number
+    if not samples:
         fail("/metrics body contained no samples")
-    return counts
+    return samples
+
+
+def check_agreement(samples: dict[str, dict[frozenset, float]], service) -> None:
+    """``/metrics`` and ``stats()`` must report the same numbers."""
+
+    def sample(family: str, **labels) -> float:
+        value = samples.get(family, {}).get(frozenset(labels.items()))
+        if value is None:
+            fail(f"no {family} sample labeled {labels} on /metrics")
+        return value
+
+    def agree(what: str, scraped: float, reported) -> None:
+        if scraped != reported:
+            fail(f"{what}: /metrics says {scraped}, stats() says {reported}")
+
+    stats = service.stats()
+    agree(
+        "tenant ops",
+        sum(samples["repro_tenant_ops_total"].values()),
+        stats["ops_total"],
+    )
+    agree(
+        "quota rejections",
+        sum(samples["repro_quota_rejections_total"].values()),
+        stats["quota_rejections_total"],
+    )
+    tenant = service.tenant("tenant-000").stats()
+    node = "serve:tenant-000"
+    agree(
+        "tenant-000 batches applied",
+        sample("repro_stream_batches_applied_total", replica=node),
+        tenant["batches_applied"],
+    )
+    agree(
+        "tenant-000 ops",
+        sample("repro_stream_ops_total", replica=node),
+        tenant["ops_total"],
+    )
+    for index, shard in enumerate(tenant["shards"]):
+        labels = {"replica": node, "shard": str(index)}
+        for phase in ("observe", "predict"):
+            key = "rounds_observed" if phase == "observe" else "rounds_predicted"
+            agree(
+                f"tenant-000 shard {index} {phase} rounds",
+                sample("repro_shard_rounds_total", phase=phase, **labels),
+                shard[key],
+            )
+        agree(
+            f"tenant-000 shard {index} capped rounds",
+            sample("repro_engine_rounds_capped_total", **labels),
+            shard["rounds_capped"],
+        )
+    if not tenant["batches_applied"]:
+        fail("tenant-000 applied no batch: the agreement check proves nothing")
 
 
 def serve_stage(dataset, factory) -> None:
@@ -127,7 +191,7 @@ def serve_stage(dataset, factory) -> None:
             address = service.obs_address
             print(f"scraping http://{address} (serve)", file=sys.stderr)
             text = scrape(address, "/metrics").decode()
-            counts = validate_prometheus(text)
+            samples = validate_prometheus(text)
             for family in (
                 "repro_tenant_ops_total",
                 "repro_quota_rejections_total",
@@ -136,11 +200,20 @@ def serve_stage(dataset, factory) -> None:
                 "repro_e2e_visibility_seconds",
                 "repro_commit_watermark_ts",
                 "repro_applied_watermark_ts",
+                "repro_serve_ingest_seconds",
+                "repro_stream_ops_total",
+                "repro_stream_batches_applied_total",
+                "repro_stream_batch_seconds",
+                "repro_shard_rounds_total",
+                "repro_shard_round_seconds",
+                "repro_engine_merges_applied_total",
+                "repro_engine_rounds_capped_total",
             ):
-                if family not in counts:
+                if family not in samples:
                     fail(f"{family} missing from serve /metrics")
             if 'tenant="tenant-000"' not in text:
                 fail("no tenant-labeled sample on the serve /metrics surface")
+            check_agreement(samples, service)
 
             json.loads(scrape(address, "/metrics.json"))
             trace = json.loads(scrape(address, "/traces"))

@@ -13,7 +13,10 @@ Five layers, one import:
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` bundle services
   thread through their layers (every span is a trace event *and* a
   latency-histogram sample), plus the zero-cost :data:`NULL_TELEMETRY`
-  recorder selected when telemetry is off;
+  recorder selected when telemetry is off. Components keep the
+  instruments their ``stats()`` reads in ``stats_registry()``: the
+  recorder's own registry (what ``/metrics`` serves), or a private one
+  when telemetry is off;
 * :mod:`repro.obs.logging` — :class:`StructuredLogger`: one JSON object
   per line, span/trace correlation ids, token-bucket rate limiting with
   in-band drop accounting;
@@ -66,7 +69,7 @@ from .health import (
     failing,
     ok,
 )
-from .logging import NULL_LOGGER, LogRateLimiter, StructuredLogger
+from .logging import NULL_LOGGER, StructuredLogger
 from .metrics import (
     Counter,
     Gauge,
@@ -91,7 +94,6 @@ __all__ = [
     "Gauge",
     "HealthRegistry",
     "Histogram",
-    "LogRateLimiter",
     "MetricFamily",
     "MetricsRegistry",
     "NULL_LOGGER",

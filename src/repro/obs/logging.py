@@ -10,7 +10,7 @@ log lines join against the Chrome trace and the ``span_seconds``
 histograms without any side table.
 
 Hot paths may log unconditionally because every logger sits behind a
-token-bucket :class:`LogRateLimiter`: once the budget is exhausted,
+:class:`~repro.ratelimit.TokenBucket`: once the budget is exhausted,
 lines are *counted* instead of written (``obs_dropped_logs_total`` on
 the attached telemetry, plus a local counter), and the next line that
 does get through carries ``dropped_since_last`` — suppression is
@@ -31,43 +31,11 @@ import json
 import time
 from typing import Any, Callable, TextIO
 
+from repro.ratelimit import TokenBucket
+
 from .telemetry import NULL_TELEMETRY
 
 LEVELS = ("debug", "info", "warning", "error")
-
-
-class LogRateLimiter:
-    """Token bucket: ``rate`` lines/second sustained, ``burst`` at once.
-
-    ``allow()`` consumes one token when available. A non-positive rate
-    disables limiting entirely (every call allowed) — the right setting
-    for tests that assert on exact line counts.
-    """
-
-    def __init__(
-        self,
-        rate: float = 200.0,
-        burst: int = 50,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.rate = rate
-        self.burst = max(1, burst)
-        self.clock = clock
-        self._tokens = float(self.burst)
-        self._last = clock()
-
-    def allow(self) -> bool:
-        if self.rate <= 0:
-            return True
-        now = self.clock()
-        self._tokens = min(
-            float(self.burst), self._tokens + (now - self._last) * self.rate
-        )
-        self._last = now
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
 
 
 class StructuredLogger:
@@ -86,9 +54,10 @@ class StructuredLogger:
         correlation ids. Defaults to the no-op singleton (lines still
         emit; they just carry no correlation ids).
     limiter:
-        Token bucket shared across levels; ``None`` builds the default
-        (200 lines/s, burst 50). ``error``-level lines bypass it —
-        failures must never be the thing rate limiting hides.
+        Token bucket shared across levels, one token per line; ``None``
+        builds the default (200 lines/s, burst 50), and
+        ``burst=math.inf`` never limits. ``error``-level lines bypass
+        it — failures must never be the thing rate limiting hides.
     """
 
     def __init__(
@@ -97,14 +66,14 @@ class StructuredLogger:
         stream: TextIO | None = None,
         *,
         telemetry=NULL_TELEMETRY,
-        limiter: LogRateLimiter | None = None,
+        limiter: TokenBucket | None = None,
         clock: Callable[[], float] = time.time,
         mono: Callable[[], float] = time.monotonic,
     ) -> None:
         self.component = component
         self.stream = stream
         self.telemetry = telemetry
-        self.limiter = limiter if limiter is not None else LogRateLimiter()
+        self.limiter = limiter if limiter is not None else TokenBucket(200.0, 50)
         self.clock = clock
         self.mono = mono
         self.epoch = mono()
@@ -133,7 +102,7 @@ class StructuredLogger:
             return False
         if level not in LEVELS:
             raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-        if level != "error" and not self.limiter.allow():
+        if level != "error" and self.limiter.try_acquire(1) is not None:
             self.lines_dropped += 1
             self._dropped_since_last += 1
             self._dropped_counter.labels(component=self.component).inc()

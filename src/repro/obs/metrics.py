@@ -168,15 +168,28 @@ class MetricFamily:
         self._factory = _METRIC_KINDS[kind]
         self._children: dict[tuple[str, ...], Any] = {}
 
-    def labels(self, **labels: Any):
+    def _key(self, labels: dict[str, Any]) -> tuple[str, ...]:
         if set(labels) != set(self.label_names):
             raise ValueError(
                 f"{self.name} takes labels {self.label_names}, got {tuple(labels)}"
             )
-        key = tuple(str(labels[name]) for name in self.label_names)
+        return tuple(str(labels[name]) for name in self.label_names)
+
+    def labels(self, **labels: Any):
+        key = self._key(labels)
         child = self._children.get(key)
         if child is None:
             child = self._children[key] = self._factory()
+        return child
+
+    def fresh(self, **labels: Any):
+        """A new zeroed child for ``labels``, replacing any earlier one.
+
+        For a component that resolves its children once, when it is
+        built: a rebuilt component (a recovery, a tenant reload) counts
+        from zero, and the family exposes the live component's series.
+        """
+        child = self._children[self._key(labels)] = self._factory()
         return child
 
     def series(self) -> Iterator[tuple[dict[str, str], Any]]:

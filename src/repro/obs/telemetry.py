@@ -85,6 +85,11 @@ class Telemetry:
         """Per-component child registry (oplog, shipper, replica-N, …)."""
         return self.registry.child(name)
 
+    def stats_registry(self) -> MetricsRegistry:
+        """Where a component keeps the instruments its ``stats()`` reads:
+        this recorder's own registry, so ``/metrics`` exposes them."""
+        return self.registry
+
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """One merged, JSON-compatible dict of everything collected."""
@@ -180,6 +185,11 @@ class NullTelemetry:
 
     def component(self, name: str) -> _NullRegistry:
         return self.registry
+
+    def stats_registry(self) -> MetricsRegistry:
+        """A private registry: ``stats()`` counts with telemetry off, and
+        nothing exposes it."""
+        return MetricsRegistry()
 
     def snapshot(self) -> dict:
         return {"enabled": False}

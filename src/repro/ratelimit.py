@@ -1,12 +1,16 @@
-"""Admission control primitives for the multi-tenant front door.
+"""The token bucket behind admission quotas and log rate limits.
 
-One :class:`TokenBucket` per tenant enforces the ops/s quota: tokens
-refill continuously at ``rate`` up to a ``burst`` ceiling, and an
-ingest of N operations atomically takes N tokens or is rejected with a
-computed retry horizon — the ``retry_after_s`` a
-:class:`repro.errors.QuotaExceeded` carries back to the caller. The
-clock is injectable (monotonic domain) so quota tests are deterministic
+Tokens refill continuously at ``rate`` up to a ``burst`` ceiling, and a
+request for N tokens atomically takes them all or is refused with a
+computed retry horizon. Two users: :mod:`repro.serve` gives each tenant
+a bucket for its ops/s quota (the horizon becomes the
+``retry_after_s`` a :class:`repro.errors.QuotaExceeded` carries), and
+:class:`repro.obs.StructuredLogger` spends one token per line. The
+clock is injectable (monotonic domain) so tests are deterministic
 rather than sleep-based.
+
+This module imports nothing from the package, so both of those layers
+can use it without an import cycle.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ class TokenBucket:
         Sustained tokens (operations) per second.
     burst:
         Bucket capacity: the largest instantaneous spend. Starts full.
+        ``math.inf`` never refuses (no limit).
     clock:
         Monotonic seconds source; injectable for deterministic tests.
     """

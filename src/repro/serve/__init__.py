@@ -13,7 +13,8 @@ The redesigned public API over the streaming/replication stack:
   (:meth:`ServeConfig.from_kwargs` is the typed-kwargs funnel);
 * :class:`TenantManager` — the engine room, for embedders that need
   the pools without the façade;
-* :class:`TokenBucket` — the admission-control primitive;
+* :class:`TokenBucket` — the admission-control primitive (from
+  :mod:`repro.ratelimit`, shared with the structured logger);
 * the typed error family from :mod:`repro.errors` (:class:`ServeError`,
   :class:`ConfigError`, :class:`QuotaExceeded`,
   :class:`UnknownTenantError`), re-exported for convenience.
@@ -30,9 +31,9 @@ from repro.errors import (
     ServeError,
     UnknownTenantError,
 )
+from repro.ratelimit import TokenBucket
 
 from .config import ServeConfig
-from .quota import TokenBucket
 from .service import Service, TenantHandle
 from .tenant import TenantManager
 

@@ -61,17 +61,20 @@ from repro.obs.health import (
 )
 from repro.obs.logging import NULL_LOGGER, StructuredLogger
 from repro.obs.telemetry import make_telemetry
+from repro.ratelimit import TokenBucket
 from repro.replica.replica import ReadReplica
 from repro.replica.shipper import LogShipper
 from repro.replica.transport import InProcessTransport
 from repro.stream.checkpoint import open_checkpoints
 from repro.stream.events import ADD, FLUSH, Operation
-from repro.stream.metrics import LatencyStat
 from repro.stream.oplog import open_log
-from repro.stream.service import ClusteringService, _internal_construction
+from repro.stream.service import (
+    ClusteringService,
+    _internal_construction,
+    latency_stats,
+)
 
 from .config import ServeConfig
-from .quota import TokenBucket
 
 #: Tenant names double as directory names and metric label values.
 _TENANT_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -80,14 +83,15 @@ _TENANT_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 class TenantEntry:
     """One resident tenant: its engine pool plus admission state."""
 
-    __slots__ = ("name", "service", "bucket")
+    __slots__ = ("name", "service", "bucket", "ops")
 
     def __init__(
-        self, name: str, service: ClusteringService, bucket: TokenBucket | None
+        self, name: str, service: ClusteringService, bucket: TokenBucket | None, ops
     ) -> None:
         self.name = name
         self.service = service
         self.bucket = bucket
+        self.ops = ops  # this tenant's tenant_ops_total child
 
 
 class TenantManager:
@@ -145,30 +149,32 @@ class TenantManager:
             if config.log_stream is not None
             else NULL_LOGGER
         )
-        # Plain counters are the stats() source of truth (telemetry may
-        # be the null recorder); the labeled instruments mirror them
-        # onto the HTTP surface.
-        self._ops_total = 0
-        self._activations_total = 0
-        self._evictions_total = 0
-        self._rejections: dict[str, dict[str, int]] = {}
-        self._ingest_latency = LatencyStat()
-        self._ops_counter = self.telemetry.counter(
+        # The instruments stats() reads. With telemetry on they live in
+        # its registry, so /metrics exposes the same objects.
+        registry = self.telemetry.stats_registry()
+        #: This manager's children of those families, by label values.
+        self._children: dict[Any, dict[tuple[str, ...], Any]] = {}
+        self._ingest_latency = registry.histogram(
+            "serve_ingest_seconds",
+            labels=("node",),
+            help="Seconds per accepted tenant ingest call, end to end",
+        ).fresh(node=config.node_name)
+        self._ops_family = registry.counter(
             "tenant_ops_total",
             labels=("tenant",),
             help="Operations accepted into the shared log, per tenant",
         )
-        self._rejection_counter = self.telemetry.counter(
+        self._rejection_family = registry.counter(
             "quota_rejections_total",
             labels=("tenant", "reason"),
             help="Ingest batches rejected by admission control",
         )
-        self._activation_counter = self.telemetry.counter(
+        self._activation_family = registry.counter(
             "tenant_activations_total",
             labels=("tenant",),
             help="Tenant engine pools built (first touch or reload)",
         )
-        self._eviction_counter = self.telemetry.counter(
+        self._eviction_family = registry.counter(
             "tenant_evictions_total",
             labels=("tenant",),
             help="Tenant engine pools checkpointed out under the LRU cap",
@@ -177,8 +183,7 @@ class TenantManager:
             "resident_tenants",
             help="Tenant engine pools currently live in memory",
         )
-        self._degraded_total = 0
-        self._degraded_counter = self.telemetry.counter(
+        self._degraded_family = registry.counter(
             "degraded_rejections_total",
             labels=("tenant", "reason"),
             help="Ingest batches rejected because a durability path is degraded",
@@ -230,6 +235,19 @@ class TenantManager:
             )
         return name
 
+    def _child(self, family, *values: str):
+        """This manager's child of ``family`` for the label ``values``:
+        fresh on first touch, so stats() counts only this manager's work."""
+        children = self._children.setdefault(family, {})
+        child = children.get(values)
+        if child is None:
+            labels = dict(zip(family.label_names, values))
+            child = children[values] = family.fresh(**labels)
+        return child
+
+    def _total(self, family) -> int:
+        return sum(child.value for child in self._children.get(family, {}).values())
+
     def resident(self) -> list[str]:
         """Resident tenant names, least-recently-used first."""
         return list(self._residents)
@@ -278,11 +296,12 @@ class TenantManager:
             if self.config.quota_ops_per_s is not None
             else None
         )
-        entry = TenantEntry(name, service, bucket)
+        entry = TenantEntry(
+            name, service, bucket, self._child(self._ops_family, name)
+        )
         self._residents[name] = entry
         self._known.add(name)
-        self._activations_total += 1
-        self._activation_counter.labels(tenant=name).inc()
+        self._child(self._activation_family, name).inc()
         if name not in self._health_tenants:
             self._health_tenants.add(name)
             self.health.register(f"tenant:{name}", self._tenant_probe(name))
@@ -352,8 +371,7 @@ class TenantManager:
                 self._fail_tenant(name, "checkpoint.save", exc)
             entry.service.close()
         self._tenant_breaker(name).record_success()
-        self._evictions_total += 1
-        self._eviction_counter.labels(tenant=name).inc()
+        self._child(self._eviction_family, name).inc()
         self._resident_gauge.set(len(self._residents))
         if self.logger.enabled:
             self.logger.info(
@@ -448,13 +466,10 @@ class TenantManager:
                 ]
                 self._next_seq += len(stamped)
             if stamped:  # accepted = logged, as on a solo primary
-                entry.service._commit_watermark.labels(
-                    replica=entry.service.node_name
-                ).set(stamped[-1].ingest_ts)
+                entry.service._commit_watermark.set(stamped[-1].ingest_ts)
             entry.service.apply_logged(stamped)
         accepted = len(stamped)
-        self._ops_total += accepted
-        self._ops_counter.labels(tenant=tenant).inc(accepted)
+        entry.ops.inc(accepted)
         if self.config.batch_max_age is not None and len(entry.service.batcher):
             if entry.service.batcher.oldest_age() >= self.config.batch_max_age:
                 self.flush(tenant)
@@ -532,9 +547,7 @@ class TenantManager:
         current: float | None = None,
         retry_after_s: float | None = None,
     ) -> None:
-        per_tenant = self._rejections.setdefault(tenant, {})
-        per_tenant[reason] = per_tenant.get(reason, 0) + 1
-        self._rejection_counter.labels(tenant=tenant, reason=reason).inc()
+        self._child(self._rejection_family, tenant, reason).inc()
         if self.logger.enabled:
             self.logger.warning("quota_rejected", tenant=tenant, reason=reason)
         raise QuotaExceeded(
@@ -618,8 +631,7 @@ class TenantManager:
         counted_tenant: str | None = None,
     ) -> None:
         label = tenant if tenant is not None else "_shared"
-        self._degraded_total += 1
-        self._degraded_counter.labels(tenant=label, reason=reason).inc()
+        self._child(self._degraded_family, label, reason).inc()
         if self.logger.enabled:
             self.logger.warning(
                 "degraded_rejected",
@@ -839,14 +851,14 @@ class TenantManager:
         return {"tenant": name, "resident": False}
 
     def stats(self, legacy: bool = True) -> dict:
-        latency = self._ingest_latency.to_dict()
-        rejections_total = sum(
-            count
-            for per_tenant in self._rejections.values()
-            for count in per_tenant.values()
-        )
+        latency = latency_stats(self._ingest_latency)
+        rejections: dict[str, dict[str, int]] = {}
+        for (tenant, reason), child in self._children.get(
+            self._rejection_family, {}
+        ).items():
+            rejections.setdefault(tenant, {})[reason] = child.value
         out: dict[str, Any] = {
-            "ops_total": self._ops_total,
+            "ops_total": self._total(self._ops_family),
             "backlog": sum(
                 len(entry.service.batcher) for entry in self._residents.values()
             ),
@@ -858,14 +870,11 @@ class TenantManager:
             "resident_tenants": len(self._residents),
             "known_tenants": len(self._known | set(self._residents)),
             "max_resident_tenants": self.config.max_resident_tenants,
-            "activations_total": self._activations_total,
-            "evictions_total": self._evictions_total,
-            "quota_rejections_total": rejections_total,
-            "quota_rejections": {
-                tenant: dict(per_tenant)
-                for tenant, per_tenant in sorted(self._rejections.items())
-            },
-            "degraded_rejections_total": self._degraded_total,
+            "activations_total": self._total(self._activation_family),
+            "evictions_total": self._total(self._eviction_family),
+            "quota_rejections_total": self._total(self._rejection_family),
+            "quota_rejections": dict(sorted(rejections.items())),
+            "degraded_rejections_total": self._total(self._degraded_family),
             "durability": {
                 "oplog": self._oplog_breaker.status(),
                 "tenants": {

@@ -16,7 +16,6 @@ a serveable system:
   lifecycle and checkpoint/restore;
 * :mod:`repro.stream.checkpoint` — the :class:`CheckpointStore` contract
   and atomic numbered JSON snapshots;
-* :mod:`repro.stream.metrics` — per-round latency/throughput telemetry;
 * :mod:`repro.stream.service` — the :class:`ClusteringService` façade
   (``ingest`` / ``cluster_of`` / ``members`` / ``stats`` / ``checkpoint``
   / ``recover``).
@@ -32,7 +31,6 @@ from .checkpoint import (
     open_checkpoints,
 )
 from .events import Operation, add, remove, update
-from .metrics import LatencyStat, MetricsRegistry, ShardMetrics
 from .oplog import LOG_BACKENDS, LogBackend, OperationLog, open_log
 from .router import (
     ROUTERS,
@@ -56,19 +54,16 @@ __all__ = [
     "ClusteringService",
     "HashRouter",
     "LOG_BACKENDS",
-    "LatencyStat",
     "LeastLoadedRouter",
     "LogBackend",
     "MembershipTable",
     "ROUTERS",
     "Router",
     "make_router",
-    "MetricsRegistry",
     "MicroBatcher",
     "Operation",
     "OperationLog",
     "RoundOps",
-    "ShardMetrics",
     "SqliteCheckpointStore",
     "SqliteOperationLog",
     "StreamConfig",

@@ -43,13 +43,13 @@ from repro.obs.health import (
     check_oplog,
 )
 from repro.obs.logging import NULL_LOGGER, StructuredLogger
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.server import ObsServer, parse_listen
 from repro.obs.telemetry import TELEMETRY_SETTINGS, make_telemetry
 
 from .batching import MicroBatcher, RoundOps
 from .checkpoint import CHECKPOINT_BACKENDS, open_checkpoints
 from .events import FLUSH, Operation
-from .metrics import MetricsRegistry
 from .oplog import LOG_BACKENDS, open_log
 from .router import (
     ROUTERS,
@@ -145,14 +145,16 @@ class StreamConfig:
         Drop the oplog prefix a fresh checkpoint covers.
     telemetry:
         Observability recorder selection: ``None``/``"off"`` (default)
-        runs the zero-cost no-op recorder — the hot path pays one
-        guarded attribute lookup; ``"on"`` collects span latencies
+        runs the zero-cost no-op recorder — spans are shared no-op
+        context managers; ``"on"`` collects span latencies
         (p50/p95/p99 per instrumented site) and a Chrome-trace ring
         buffer into a fresh :class:`repro.obs.Telemetry`; passing a
         :class:`repro.obs.Telemetry` *instance* shares one collection
         point across services (primary + replicas + shipper), which is
         how :class:`repro.serve.Service` merges the whole topology into
-        a single snapshot.
+        a single snapshot. The counters :meth:`ClusteringService.stats`
+        reports are kept either way; with telemetry on they are the
+        very instruments ``/metrics`` exposes.
     obs_server:
         ``"host:port"`` to serve the operational surface over HTTP
         (``/metrics``, ``/metrics.json``, ``/traces``, ``/healthz``,
@@ -239,6 +241,154 @@ class StreamConfig:
         }
 
 
+def latency_stats(histogram: Histogram) -> dict:
+    """A latency histogram in the ``stats()`` shape (``*_s`` keys)."""
+    return {
+        key if key == "count" else f"{key}_s": value
+        for key, value in histogram.snapshot().items()
+    }
+
+
+#: Per-shard engine counters: ``stats()`` key and the
+#: :class:`~repro.core.dynamicc.RoundStats` field summed into it over
+#: predict rounds. Each is an ``engine_<key>_total{replica,shard}``
+#: family.
+_ENGINE_COUNTERS = (
+    ("merges_applied", "merges_applied"),
+    ("splits_applied", "splits_applied"),
+    ("moves_applied", "moves_applied"),
+    ("verifications", "verifications"),
+    ("candidates_scored", "candidates_scored"),
+    ("rejected", "rejected"),
+    ("rounds_capped", "capped"),
+)
+
+
+class ShardInstruments:
+    """One shard's round counters and latency, as obs instruments."""
+
+    def __init__(self, registry: MetricsRegistry, replica: str, shard: int) -> None:
+        labels = {"replica": replica, "shard": shard}
+
+        def counter(name: str, help: str, **extra: str):
+            family = registry.counter(name, labels=(*labels, *extra), help=help)
+            return family.fresh(**labels, **extra)
+
+        rounds = "DynamicC rounds a shard applied, per phase"
+        self.rounds_observed = counter("shard_rounds_total", rounds, phase="observe")
+        self.rounds_predicted = counter("shard_rounds_total", rounds, phase="predict")
+        self.ops_applied = counter(
+            "shard_ops_applied_total", "Operations a shard's rounds applied"
+        )
+        self.ops_ignored = counter(
+            "shard_ops_ignored_total", "Operations round normalisation discarded"
+        )
+        self.round_latency = registry.histogram(
+            "shard_round_seconds",
+            labels=tuple(labels),
+            help="Seconds a shard spent applying one round",
+        ).fresh(**labels)
+        #: ``(stats() key, RoundStats field, counter)`` triples.
+        self.engine = [
+            (key, field, counter(f"engine_{key}_total", f"RoundStats.{field} summed"))
+            for key, field in _ENGINE_COUNTERS
+        ]
+
+    def record_round(
+        self, phase: str, n_ops: int, ignored: int, latency: float, round_stats=None
+    ) -> None:
+        if phase == "observe":
+            self.rounds_observed.inc()
+        else:
+            self.rounds_predicted.inc()
+        self.ops_applied.inc(n_ops)
+        self.ops_ignored.inc(ignored)
+        self.round_latency.record(latency)
+        if round_stats is not None:
+            for _, field, counter in self.engine:
+                counter.inc(getattr(round_stats, field))
+
+    def to_dict(self) -> dict:
+        latency = latency_stats(self.round_latency)
+        out = {
+            # Canonical stats() shape (shared by stream/replica/serve):
+            # every component reports ops_total and p50_s/p95_s/p99_s.
+            "ops_total": self.ops_applied.value,
+            "p50_s": latency["p50_s"],
+            "p95_s": latency["p95_s"],
+            "p99_s": latency["p99_s"],
+            "rounds_observed": self.rounds_observed.value,
+            "rounds_predicted": self.rounds_predicted.value,
+            "ops_applied": self.ops_applied.value,
+            "ops_ignored": self.ops_ignored.value,
+            "round_latency": latency,
+        }
+        out.update((key, counter.value) for key, _, counter in self.engine)
+        return out
+
+
+class StreamInstruments:
+    """A service's ``stats()`` counters and latencies, as obs instruments.
+
+    Each is a child of a ``stream_*``, ``shard_*`` or ``engine_*``
+    family labeled with the service's node name (and shard), resolved
+    fresh when the service is built: a rebuilt service counts from
+    zero, and with telemetry on ``/metrics`` exposes these very
+    instruments.
+    """
+
+    def __init__(self, registry: MetricsRegistry, replica: str, n_shards: int) -> None:
+        def counter(name: str, help: str):
+            family = registry.counter(name, labels=("replica",), help=help)
+            return family.fresh(replica=replica)
+
+        self.ops = counter("stream_ops_total", "Operations accepted or replayed")
+        self.batches_applied = counter(
+            "stream_batches_applied_total", "Micro-batches applied"
+        )
+        self.batch_latency = registry.histogram(
+            "stream_batch_seconds",
+            labels=("replica",),
+            help="Seconds to apply one micro-batch across the shards",
+        ).fresh(replica=replica)
+        self.checkpoints_taken = counter("stream_checkpoints_total", "Checkpoints saved")
+        self.recoveries = counter("stream_recoveries_total", "Rebuilds by recover()")
+        self.shards = [
+            ShardInstruments(registry, replica, index) for index in range(n_shards)
+        ]
+
+    def throughput_events_per_s(self) -> float:
+        """Applied operations per second of round-processing time."""
+        busy = sum(shard.round_latency.total for shard in self.shards)
+        applied = sum(shard.ops_applied.value for shard in self.shards)
+        return applied / busy if busy > 0 else 0.0
+
+    def snapshot(self, legacy: bool = True) -> dict:
+        """Counters as one dict, in the canonical stats() key shape.
+
+        ``ops_total`` and the ``p50_s``/``p95_s``/``p99_s`` percentile
+        trio (of batch-apply latency) are the cross-layer contract;
+        ``legacy=True`` (the default, for one release) additionally
+        emits the pre-1.4 alias ``events_ingested``.
+        """
+        latency = latency_stats(self.batch_latency)
+        out = {
+            "ops_total": self.ops.value,
+            "p50_s": latency["p50_s"],
+            "p95_s": latency["p95_s"],
+            "p99_s": latency["p99_s"],
+            "batches_applied": self.batches_applied.value,
+            "batch_latency": latency,
+            "throughput_events_per_s": self.throughput_events_per_s(),
+            "checkpoints_taken": self.checkpoints_taken.value,
+            "recoveries": self.recoveries.value,
+            "shards": [shard.to_dict() for shard in self.shards],
+        }
+        if legacy:
+            out["events_ingested"] = self.ops.value
+        return out
+
+
 class ClusteringService:
     """Durable, sharded clustering over an event stream.
 
@@ -275,7 +425,13 @@ class ClusteringService:
             for index in range(self.config.n_shards)
         ]
         self.membership = MembershipTable()
-        self.metrics = MetricsRegistry(self.config.n_shards)
+        self.node_name = self.config.node_name
+        #: The counters and latencies :meth:`stats` reports; they live in
+        #: the telemetry registry when telemetry is on (``/metrics``
+        #: serves them) and in a private one otherwise.
+        self.metrics = StreamInstruments(
+            self.telemetry.stats_registry(), self.node_name, self.config.n_shards
+        )
         self.batcher = MicroBatcher(
             max_ops=self.config.batch_max_ops, max_age=self.config.batch_max_age
         )
@@ -310,7 +466,6 @@ class ClusteringService:
         #: ``Operation.ingest_ts`` folded into a shard (wall clock;
         #: ``None`` until a stamped operation is applied).
         self.applied_watermark_ts: float | None = None
-        self.node_name = self.config.node_name
         #: Structured JSON-lines logger; disabled (constant-time no-op)
         #: unless ``config.log_stream`` is set.
         self.logger = (
@@ -330,17 +485,17 @@ class ClusteringService:
             "commit_watermark_ts",
             labels=("replica",),
             help="Wall-clock ingest_ts of the newest operation accepted",
-        )
+        ).labels(replica=self.node_name)
         self._applied_watermark = self.telemetry.gauge(
             "applied_watermark_ts",
             labels=("replica",),
             help="Wall-clock ingest_ts of the newest operation visible to queries",
-        )
+        ).labels(replica=self.node_name)
         self._visibility = self.telemetry.histogram(
             "e2e_visibility_seconds",
             labels=("replica",),
             help="Seconds from primary ingest to queryable on this node",
-        )
+        ).labels(replica=self.node_name)
         #: Component health checks behind ``/readyz``.
         self.health = HealthRegistry()
         self.health.register("oplog", check_oplog(self.oplog))
@@ -421,22 +576,6 @@ class ClusteringService:
             for op in ops
         ]
         obs = self.telemetry
-        if not obs.enabled:
-            # The undecorated hot path: telemetry off costs exactly this
-            # one attribute check per ingest call.
-            ops = self.router.assign(ops)
-            if self.oplog is not None:
-                ops = self.oplog.append(ops)
-            else:
-                ops = [
-                    op.with_seq(self._next_seq + offset)
-                    for offset, op in enumerate(ops)
-                ]
-                self._next_seq += len(ops)
-            self.metrics.events_ingested += len(ops)
-            self.batcher.extend(ops)
-            self._apply_ready()
-            return len(ops)
         with obs.span("stream.ingest", ops=len(ops)):
             # Placement is decided here — before logging — so the stamped
             # assignment is durable and replays/ships verbatim.
@@ -451,10 +590,8 @@ class ClusteringService:
                 ]
                 self._next_seq += len(ops)
             if ops:
-                self._commit_watermark.labels(replica=self.node_name).set(
-                    ops[-1].ingest_ts
-                )
-            self.metrics.events_ingested += len(ops)
+                self._commit_watermark.set(ops[-1].ingest_ts)
+            self.metrics.ops.inc(len(ops))
             self.batcher.extend(ops)
             self._apply_ready()
         return len(ops)
@@ -498,21 +635,16 @@ class ClusteringService:
         for shard_index, slice_ops in sorted(self.router.partition(batch).items()):
             shard = self.shards[shard_index]
             round_ops = RoundOps.fold(slice_ops).normalized(shard.is_live)
-            if obs.enabled:
-                with obs.span(
-                    "shard.apply", shard=shard_index, ops=len(round_ops)
-                ):
-                    phase, latency, stats = shard.apply(round_ops)
-            else:
+            with obs.span("shard.apply", shard=shard_index, ops=len(round_ops)):
                 phase, latency, stats = shard.apply(round_ops)
             if phase != "skip":
-                self.metrics.shard(shard_index).record_round(
+                self.metrics.shards[shard_index].record_round(
                     phase, len(round_ops), round_ops.ignored, latency, stats
                 )
             else:
                 # A round can normalise to nothing and still have
                 # discarded operations worth counting.
-                self.metrics.shard(shard_index).ops_ignored += round_ops.ignored
+                self.metrics.shards[shard_index].ops_ignored.inc(round_ops.ignored)
             for obj_id in round_ops.added:
                 self.membership.add(obj_id, shard_index)
             for obj_id in round_ops.removed:
@@ -532,15 +664,12 @@ class ClusteringService:
         if batch_watermark is not None:
             self.applied_watermark_ts = batch_watermark
             if obs.enabled:
-                self._applied_watermark.labels(replica=self.node_name).set(
-                    batch_watermark
-                )
-                visibility = self._visibility.labels(replica=self.node_name)
+                self._applied_watermark.set(batch_watermark)
                 applied_at = time.time()
                 for op in batch:
                     if op.ingest_ts is not None:
-                        visibility.record(max(0.0, applied_at - op.ingest_ts))
-        self.metrics.batches_applied += 1
+                        self._visibility.record(max(0.0, applied_at - op.ingest_ts))
+        self.metrics.batches_applied.inc()
         self.metrics.batch_latency.record(time.perf_counter() - start)
 
     # ------------------------------------------------------------------
@@ -671,7 +800,7 @@ class ClusteringService:
                     # Already-stamped placements teach the router its
                     # load state (recovery, replicas, promotion).
                     self.router.observe(operation)
-                    self.metrics.events_ingested += 1
+                    self.metrics.ops.inc()
                     self.batcher.add(operation)
                     self._apply_ready()
         finally:
@@ -724,7 +853,7 @@ class ClusteringService:
             # truncate_through (vs bare compact) accrues the
             # reclaimed-bytes gauge stats() reports.
             self.oplog.truncate_through(min(self.checkpoints.list_seqs()))
-        self.metrics.checkpoints_taken += 1
+        self.metrics.checkpoints_taken.inc()
         return path
 
     @classmethod
@@ -802,7 +931,7 @@ class ClusteringService:
                     service.oplog.iter_from(service.applied_seq),
                     expect_after=service.applied_seq,
                 )
-        service.metrics.recoveries += 1
+        service.metrics.recoveries.inc()
         return service
 
     def close(self) -> None:

@@ -626,7 +626,8 @@ class TestDropAccounting:
     def test_log_rate_limit_drops_counted_and_reported_in_band(self):
         import io
 
-        from repro.obs import LogRateLimiter, StructuredLogger
+        from repro.obs import StructuredLogger
+        from repro.ratelimit import TokenBucket
 
         ticks = iter([i * 0.001 for i in range(1000)])  # effectively frozen clock
         telemetry = Telemetry()
@@ -635,7 +636,7 @@ class TestDropAccounting:
             "comp",
             stream,
             telemetry=telemetry,
-            limiter=LogRateLimiter(rate=1.0, burst=3, clock=lambda: next(ticks)),
+            limiter=TokenBucket(rate=1.0, burst=3, clock=lambda: next(ticks)),
         )
         results = [logger.info("e", i=i) for i in range(10)]
         assert results.count(True) == 3 and results.count(False) == 7
@@ -655,10 +656,13 @@ class TestStructuredLogging:
     def make_logger(self, **kwargs):
         import io
 
-        from repro.obs import LogRateLimiter, StructuredLogger
+        import math
+
+        from repro.obs import StructuredLogger
+        from repro.ratelimit import TokenBucket
 
         stream = io.StringIO()
-        kwargs.setdefault("limiter", LogRateLimiter(rate=0))  # unlimited
+        kwargs.setdefault("limiter", TokenBucket(rate=1.0, burst=math.inf))  # no limit
         return StructuredLogger("stream.primary", stream, **kwargs), stream
 
     def test_one_json_object_per_line_with_schema(self):
@@ -719,9 +723,9 @@ class TestStructuredLogging:
         assert line["ok"] == [1, 2]
 
     def test_child_shares_stream_and_limiter(self):
-        from repro.obs import LogRateLimiter
+        from repro.ratelimit import TokenBucket
 
-        logger, stream = self.make_logger(limiter=LogRateLimiter(rate=1.0, burst=2, clock=lambda: 0.0))
+        logger, stream = self.make_logger(limiter=TokenBucket(rate=1.0, burst=2, clock=lambda: 0.0))
         child = logger.child("stream.replica-0")
         assert logger.info("a") and child.info("b")
         assert child.info("c") is False  # shared bucket exhausted

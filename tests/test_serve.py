@@ -16,6 +16,7 @@ The acceptance invariants of the serve redesign:
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import pytest
@@ -107,6 +108,10 @@ class TestTokenBucket:
         assert bucket.try_acquire(2) is None
         now[0] += 100.0
         assert bucket.tokens == pytest.approx(5.0)  # capped at burst
+
+    def test_infinite_burst_never_refuses(self):
+        bucket = TokenBucket(rate=1.0, burst=math.inf, clock=lambda: 0.0)
+        assert all(bucket.try_acquire(10**6) is None for _ in range(100))
 
     def test_validation(self):
         with pytest.raises(ValueError):

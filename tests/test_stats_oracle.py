@@ -36,6 +36,7 @@ import pytest
 from repro.clustering.objectives import DBIndexObjective
 from repro.core import DynamicC
 from repro.errors import QuotaExceeded
+from repro.obs import Telemetry
 from repro.serve import Service
 from repro.similarity.euclidean import EuclideanSimilarity
 from repro.similarity.graph import SimilarityGraph
@@ -205,7 +206,12 @@ def test_stats_match_the_oracle(tmp_path):
             assert got[layer][name] == want[layer][name], f"{layer}.{name} drifted"
 
 
-def test_stats_do_not_depend_on_the_telemetry_setting(tmp_path):
+@pytest.mark.parametrize("setting", ["on", "shared"])
+def test_stats_do_not_depend_on_the_telemetry_setting(tmp_path, setting):
+    # "shared": one Telemetry instance across the reopen and the
+    # recover, so a rebuilt component must still count from zero.
+    telemetry = Telemetry() if setting == "shared" else setting
+
     def without_telemetry(views):
         for layer in views.values():
             for snapshot in layer.values():
@@ -214,5 +220,5 @@ def test_stats_do_not_depend_on_the_telemetry_setting(tmp_path):
         return views
 
     off = without_telemetry(all_views(tmp_path / "off"))
-    on = without_telemetry(all_views(tmp_path / "on", telemetry="on"))
+    on = without_telemetry(all_views(tmp_path / "on", telemetry=telemetry))
     assert on == off

@@ -10,7 +10,6 @@ from repro.stream import (
     CheckpointManager,
     HashRouter,
     MembershipTable,
-    MetricsRegistry,
     MicroBatcher,
     Operation,
     OperationLog,
@@ -22,7 +21,9 @@ from repro.stream import (
     stable_hash,
     update,
 )
+from repro.obs import MetricsRegistry, Telemetry
 from repro.stream.events import decode_payload, encode_payload
+from repro.stream.service import StreamInstruments
 
 
 class TestEvents:
@@ -295,13 +296,13 @@ class TestCheckpointManager:
 
 class TestMetrics:
     def test_latency_and_throughput(self):
-        registry = MetricsRegistry(2)
-        registry.shard(0).record_round("observe", n_ops=10, ignored=1, latency=0.5)
-        registry.shard(1).record_round("predict", n_ops=30, ignored=0, latency=0.5)
-        assert registry.shard(0).rounds_observed == 1
-        assert registry.shard(1).rounds_predicted == 1
-        assert registry.throughput_events_per_s() == pytest.approx(40.0)
-        snapshot = registry.snapshot()
+        metrics = StreamInstruments(MetricsRegistry(), "primary", 2)
+        metrics.shards[0].record_round("observe", n_ops=10, ignored=1, latency=0.5)
+        metrics.shards[1].record_round("predict", n_ops=30, ignored=0, latency=0.5)
+        assert metrics.shards[0].rounds_observed.value == 1
+        assert metrics.shards[1].rounds_predicted.value == 1
+        assert metrics.throughput_events_per_s() == pytest.approx(40.0)
+        snapshot = metrics.snapshot()
         assert snapshot["shards"][0]["ops_ignored"] == 1
         assert snapshot["shards"][1]["round_latency"]["mean_s"] == pytest.approx(0.5)
         json.dumps(snapshot)  # must be JSON-compatible
@@ -309,10 +310,40 @@ class TestMetrics:
     def test_capped_rounds_are_summed(self):
         from repro.core import RoundStats
 
-        registry = MetricsRegistry(1)
-        shard = registry.shard(0)
+        metrics = StreamInstruments(MetricsRegistry(), "primary", 1)
+        shard = metrics.shards[0]
         for capped in (1, 0, 1):
             shard.record_round(
                 "predict", n_ops=5, ignored=0, latency=0.1, round_stats=RoundStats(capped=capped)
             )
-        assert registry.snapshot()["shards"][0]["rounds_capped"] == 2
+        assert metrics.snapshot()["shards"][0]["rounds_capped"] == 2
+
+    def test_stats_and_metrics_read_the_same_instruments(self):
+        from repro.core import RoundStats
+
+        telemetry = Telemetry()
+        metrics = StreamInstruments(telemetry.stats_registry(), "primary", 1)
+        metrics.shards[0].record_round(
+            "predict", n_ops=5, ignored=0, latency=0.1, round_stats=RoundStats(capped=1)
+        )
+        metrics.batches_applied.inc()
+        families = telemetry.snapshot()["metrics"]
+        assert families["engine_rounds_capped_total"]["replica=primary,shard=0"] == 1
+        assert families["stream_batches_applied_total"]["replica=primary"] == 1
+        text = telemetry.to_prometheus()
+        assert (
+            'repro_shard_rounds_total{phase="predict",replica="primary",shard="0"} 1'
+            in text
+        )
+
+    def test_a_rebuilt_service_counts_from_zero(self):
+        telemetry = Telemetry()
+        first = StreamInstruments(telemetry.stats_registry(), "primary", 1)
+        first.ops.inc(7)
+        second = StreamInstruments(telemetry.stats_registry(), "primary", 1)
+        assert second.snapshot()["ops_total"] == 0
+        second.ops.inc(2)
+        # /metrics exposes the live service's series, not the old one's.
+        assert telemetry.snapshot()["metrics"]["stream_ops_total"] == {
+            "replica=primary": 2
+        }

@@ -229,7 +229,7 @@ class TestCrashRecovery:
         del crashing
 
         recovered = ClusteringService.recover(factory, config_b)
-        assert recovered.metrics.recoveries == 1
+        assert recovered.metrics.recoveries.value == 1
         recovered.ingest(events[215:])
         recovered.flush()
 
