@@ -146,6 +146,13 @@ def check_agreement(samples: dict[str, dict[frozenset, float]], service) -> None
             sample("repro_engine_rounds_capped_total", **labels),
             shard["rounds_capped"],
         )
+    if tenant["commit_watermark_ts"] is None:
+        fail("tenant-000 reports no commit watermark after accepting writes")
+    agree(
+        "tenant-000 commit watermark",
+        sample("repro_commit_watermark_ts", replica=node),
+        tenant["commit_watermark_ts"],
+    )
     if not tenant["batches_applied"]:
         fail("tenant-000 applied no batch: the agreement check proves nothing")
 

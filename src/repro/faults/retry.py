@@ -108,7 +108,10 @@ class RetryPolicy:
         and :class:`~repro.errors.DurabilityError` (chained from the
         last error) when retries or the deadline exhaust.
         """
-        rng = random.Random(self.seed)
+        # Built on the first backoff, not here: seeding an unseeded RNG
+        # from the OS entropy pool costs more than a successful append,
+        # and a seeded policy draws the same delays either way.
+        rng: random.Random | None = None
         started = self.clock()
         attempts = self._counter(obs)
         last_error: Exception | None = None
@@ -122,6 +125,8 @@ class RetryPolicy:
                     raise
                 if attempt == self.max_attempts:
                     break
+                if rng is None:
+                    rng = random.Random(self.seed)
                 delay = self.backoff_s(attempt, rng)
                 if (
                     self.deadline_s is not None

@@ -282,12 +282,22 @@ class TenantManager:
                     service = ClusteringService.recover(self._factory, cfg)
                 else:
                     service = ClusteringService(self._factory, cfg)
+            suffix = []
             if self.oplog is not None:
                 suffix = list(
                     self.oplog.iter_tenant(name, after_seq=service.applied_seq)
                 )
                 if suffix:
                     service.apply_logged(suffix, contiguous=False)
+            # The pool's commit watermark is its newest logged write: the
+            # replayed suffix's newest stamp, else the checkpoint's
+            # applied one (no suffix means every logged write applied).
+            committed = service.applied_watermark_ts
+            for op in suffix:
+                if op.ingest_ts is not None:
+                    committed = op.ingest_ts
+            if committed is not None:
+                service._note_commit(committed)
         bucket = (
             TokenBucket(
                 self.config.quota_ops_per_s,
@@ -466,7 +476,7 @@ class TenantManager:
                 ]
                 self._next_seq += len(stamped)
             if stamped:  # accepted = logged, as on a solo primary
-                entry.service._commit_watermark.set(stamped[-1].ingest_ts)
+                entry.service._note_commit(stamped[-1].ingest_ts)
             entry.service.apply_logged(stamped)
         accepted = len(stamped)
         entry.ops.inc(accepted)

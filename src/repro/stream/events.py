@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -150,6 +151,23 @@ def update(obj_id: int, payload: Any) -> Operation:
 # tuples, dicts) are wrapped in single-key marker objects so decoding is
 # unambiguous. Sets are serialised sorted — the encoding is canonical,
 # so identical payloads produce identical WAL bytes.
+#
+# The codec sits on every write (WAL append) and every read of the log
+# (recovery, tenant activation, shipping, replica spools), so token
+# sets — the common payload — take two shortcuts that change no byte:
+#
+# * A string encodes to itself, and its canonical JSON text is exactly
+#   ``json.encoder.encode_basestring_ascii(s)``: that is the function
+#   ``json.dumps(s)`` calls for a ``str`` (``ensure_ascii`` is on by
+#   default and ``sort_keys`` does not touch a string). Sorting the
+#   members with it as the key is therefore the same order at one C
+#   call per member. It raises ``TypeError`` for anything that is not
+#   a ``str``, which sends mixed and non-string sets down the general
+#   path.
+# * Decoding a JSON scalar is the identity; only lists and dicts decode
+#   to something else, and those are exactly the members that make
+#   ``frozenset(members)`` raise ``TypeError``. A set of scalars is
+#   therefore built straight from its list.
 
 def _sorted_encoded(items) -> list:
     """Encode set members and order them canonically.
@@ -157,6 +175,10 @@ def _sorted_encoded(items) -> list:
     Sorting the raw encodings would raise for non-primitive members
     (dict markers don't compare), so order by their canonical JSON.
     """
+    try:
+        return sorted(items, key=encode_basestring_ascii)
+    except TypeError:  # a member that is not a str
+        pass
     return sorted(
         (encode_payload(item) for item in items),
         key=lambda encoded: json.dumps(encoded, sort_keys=True),
@@ -203,9 +225,19 @@ def decode_payload(data: Any) -> Any:
         if _ND in data:
             return np.asarray(data[_ND], dtype=data["dtype"])
         if _FROZENSET in data:
-            return frozenset(decode_payload(item) for item in data[_FROZENSET])
+            members = data[_FROZENSET]
+            try:
+                return frozenset(members)
+            except TypeError:  # a list or marker-dict member
+                pass
+            return frozenset(decode_payload(item) for item in members)
         if _SET in data:
-            return {decode_payload(item) for item in data[_SET]}
+            members = data[_SET]
+            try:
+                return set(members)
+            except TypeError:  # a list or marker-dict member
+                pass
+            return {decode_payload(item) for item in members}
         if _TUPLE in data:
             return tuple(decode_payload(item) for item in data[_TUPLE])
         if _DICT in data:

@@ -462,6 +462,14 @@ class ClusteringService:
         self._checkpoint_retry = RetryPolicy()
         #: Sequence number of the last operation applied to a shard.
         self.applied_seq = 0
+        #: Without an oplog of its own: the seq of the newest operation
+        #: this service stamped or was handed through ``apply_logged``
+        #: (the ``last_seq`` it reports, and the stamping base).
+        self._last_seq = 0
+        #: ``ingest_ts`` of the newest operation accepted, as the owner
+        #: of the log reported it (see :meth:`_note_commit`); a service
+        #: with its own oplog reports the log's watermark instead.
+        self._commit_watermark_ts: float | None = None
         #: Freshness watermark of applied state: the newest
         #: ``Operation.ingest_ts`` folded into a shard (wall clock;
         #: ``None`` until a stamped operation is applied).
@@ -528,8 +536,6 @@ class ClusteringService:
         #: refuses (reads and replay stay legal — placement follows
         #: the stamps regardless of this service's router config).
         self.placements_stamped = False
-        # Ephemeral stamping when no oplog is configured.
-        self._next_seq = 1
 
     @property
     def obs_address(self) -> str | None:
@@ -585,16 +591,26 @@ class ClusteringService:
                 ops = self.oplog.append(ops)
             else:
                 ops = [
-                    op.with_seq(self._next_seq + offset)
-                    for offset, op in enumerate(ops)
+                    op.with_seq(self._last_seq + offset)
+                    for offset, op in enumerate(ops, start=1)
                 ]
-                self._next_seq += len(ops)
+                self._last_seq += len(ops)
             if ops:
-                self._commit_watermark.set(ops[-1].ingest_ts)
+                self._note_commit(ops[-1].ingest_ts)
             self.metrics.ops.inc(len(ops))
             self.batcher.extend(ops)
             self._apply_ready()
         return len(ops)
+
+    def _note_commit(self, ingest_ts: float) -> None:
+        """Record the newest accepted operation's ``ingest_ts``.
+
+        Called by whoever logged the operation: this service's own
+        ingest, or the tenant manager that appended a pool's operations
+        to the shared log.
+        """
+        self._commit_watermark_ts = ingest_ts
+        self._commit_watermark.set(ingest_ts)
 
     def flush(self) -> None:
         """Force the pending partial batch through as one round.
@@ -734,9 +750,11 @@ class ClusteringService:
             applied_seq=self.applied_seq,
             applied_watermark_ts=self.applied_watermark_ts,
             commit_watermark_ts=(
-                self.oplog.last_watermark_ts if self.oplog is not None else None
+                self.oplog.last_watermark_ts
+                if self.oplog is not None
+                else self._commit_watermark_ts
             ),
-            last_seq=self.oplog.last_seq if self.oplog is not None else self._next_seq - 1,
+            last_seq=self.oplog.last_seq if self.oplog is not None else self._last_seq,
             pending_oldest_age_s=self.batcher.oldest_age(),
             num_objects=len(self.membership),
             num_clusters=sum(shard.num_clusters() for shard in self.shards),
@@ -805,6 +823,8 @@ class ClusteringService:
                     self._apply_ready()
         finally:
             self.batcher.max_age = saved_max_age
+            if last_seen is not None and last_seen > self._last_seq:
+                self._last_seq = last_seen
         return last_seen
 
     # ------------------------------------------------------------------
@@ -918,7 +938,7 @@ class ClusteringService:
             # must not re-issue already-used sequence numbers, or new
             # checkpoints would sort below the stale one and the next
             # recovery would silently discard everything since.
-            service._next_seq = max(service._next_seq, service.applied_seq + 1)
+            service._last_seq = max(service._last_seq, service.applied_seq)
             if service.oplog is not None:
                 service.oplog.last_seq = max(
                     service.oplog.last_seq, service.applied_seq

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import errno
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -238,6 +239,75 @@ class TestRetryPolicy:
         assert draws == again
         for attempt, delay in enumerate(draws, start=1):
             assert 0.0 <= delay <= min(0.25, 0.01 * 2 ** (attempt - 1))
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_seeded_policy_sleeps_the_same_delays(self, seed):
+        # The delays a seeded policy sleeps are the draws of one
+        # random.Random(seed), backoff by backoff, in attempt order.
+        import random
+
+        slept = []
+
+        def always_fails():
+            raise OSError(errno.EIO, "injected")
+
+        policy = RetryPolicy(
+            max_attempts=6,
+            base_delay_s=0.01,
+            max_delay_s=0.05,
+            seed=seed,
+            sleep=slept.append,
+        )
+        with pytest.raises(DurabilityError):
+            policy.run(always_fails, boundary="ship.publish")
+        rng = random.Random(seed)
+        assert slept == [policy.backoff_s(n, rng) for n in range(1, 6)]
+        again = []
+        with pytest.raises(DurabilityError):
+            replace(policy, sleep=again.append).run(
+                always_fails, boundary="ship.publish"
+            )
+        assert again == slept
+
+    def test_first_try_success_builds_no_rng(self, monkeypatch):
+        import random
+
+        from repro.faults import retry as retry_module
+
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(retry_module.random, "Random", CountingRandom)
+        for policy in (RetryPolicy(), RetryPolicy(seed=3), NO_RETRY):
+            assert policy.run(lambda: "ok", boundary="oplog.append") == "ok"
+        assert built == []
+        # Non-retryable and single-attempt failures sleep nothing either.
+        with pytest.raises(OSError):
+            RetryPolicy().run(
+                lambda: (_ for _ in ()).throw(OSError(errno.ENOSPC, "full")),
+                boundary="oplog.append",
+            )
+        with pytest.raises(DurabilityError):
+            NO_RETRY.run(
+                lambda: (_ for _ in ()).throw(OSError(errno.EIO, "io")),
+                boundary="oplog.append",
+            )
+        assert built == []
+        # The first backoff builds it, once per call.
+        calls = []
+
+        def flaky_fn():
+            calls.append(1)
+            if len(calls) < 3:
+                raise OSError(errno.EIO, "injected")
+            return "done"
+
+        make_policy(max_attempts=3).run(flaky_fn, boundary="oplog.append")
+        assert len(built) == 1
 
     def test_deadline_stops_before_the_sleep_that_would_cross_it(self):
         now = [0.0]

@@ -1,6 +1,7 @@
 """Unit tests for the repro.stream building blocks (events, oplog,
 batching, routing, checkpoints, metrics)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -21,8 +22,10 @@ from repro.stream import (
     stable_hash,
     update,
 )
+from repro.data.generators import generate_cora
 from repro.obs import MetricsRegistry, Telemetry
-from repro.stream.events import decode_payload, encode_payload
+from repro.stream import events as events_module
+from repro.stream.events import _sorted_encoded, decode_payload, encode_payload
 from repro.stream.service import StreamInstruments
 
 
@@ -347,3 +350,205 @@ class TestMetrics:
         assert telemetry.snapshot()["metrics"]["stream_ops_total"] == {
             "replica=primary": 2
         }
+
+
+# ---------------------------------------------------------------------------
+# Payload codec fast paths, checked against the per-member code they replace
+# ---------------------------------------------------------------------------
+def sorted_encoded_reference(items) -> list:
+    """Set-member order as the codec always defined it: each member's
+    encoding, sorted by its canonical JSON text."""
+    return sorted(
+        (encode_payload(item) for item in items),
+        key=lambda encoded: json.dumps(encoded, sort_keys=True),
+    )
+
+
+def decode_reference(data):
+    """The member-by-member decoder: every item of every list decoded."""
+    if isinstance(data, list):
+        return [decode_reference(item) for item in data]
+    if isinstance(data, dict):
+        if "__ndarray__" in data:
+            return np.asarray(data["__ndarray__"], dtype=data["dtype"])
+        if "__frozenset__" in data:
+            return frozenset(decode_reference(item) for item in data["__frozenset__"])
+        if "__set__" in data:
+            return {decode_reference(item) for item in data["__set__"]}
+        if "__tuple__" in data:
+            return tuple(decode_reference(item) for item in data["__tuple__"])
+        if "__dict__" in data:
+            return {k: decode_reference(v) for k, v in data["__dict__"].items()}
+        raise ValueError(f"unknown payload marker in {sorted(data)!r}")
+    return data
+
+
+#: Pieces whose JSON spelling sorts differently from the raw string:
+#: " " and "!" sort below the closing quote that ends a shorter string
+#: sharing the prefix; '"', "\\", control characters and DEL are
+#: escaped; non-ASCII and astral characters become ``\uXXXX`` (astral
+#: ones as a surrogate pair), which sorts between "Z" and "a".
+ADVERSARIAL_PIECES = [
+    "", "a", "ab", "Z", "z", " ", "!", '"', "\\", "\x00", "\x01", "\x1f",
+    "\n", "\t", "\x7f", "~", "\u00e9", "\u00df", "\u2028", "\u4e2d", "\U0001f600",
+    "\U00010000", "\ud7ff", "\ue000", "\uffff",
+]
+
+
+def adversarial_sets(n_sets=200, seed=3):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_sets):
+        size = int(rng.integers(1, 12))
+        members = set()
+        for _ in range(size):
+            parts = rng.integers(len(ADVERSARIAL_PIECES), size=int(rng.integers(1, 4)))
+            members.add("".join(ADVERSARIAL_PIECES[int(i)] for i in parts))
+        out.append(frozenset(members))
+    return out
+
+
+class TestPayloadCodecFastPaths:
+    def test_string_sets_sort_in_json_order(self):
+        differs = 0
+        for members in adversarial_sets():
+            want = sorted_encoded_reference(members)
+            assert _sorted_encoded(members) == want
+            assert _sorted_encoded(set(members)) == want
+            differs += want != sorted(members)
+        # The sets really are adversarial: plain code-point order would
+        # have written different bytes for many of them.
+        assert differs > 50
+
+    def test_prefix_and_escape_pairs(self):
+        pairs = [
+            ("a", "a "), ("a", "a!"), ("a", 'a"'), ("a", "a\\"), ("a", "a\x01"),
+            ("Z", "\u00e9"), ("\u00e9", "a"), ("\uffff", "\U0001f600"), ("~", "\x7f"),
+        ]
+        for pair in pairs:
+            assert _sorted_encoded(frozenset(pair)) == sorted_encoded_reference(pair)
+        # JSON order is not code-point order for these.
+        assert _sorted_encoded(frozenset({"a", "a "})) == ["a ", "a"]
+        assert _sorted_encoded(frozenset({"\uffff", "\U0001f600"})) == [
+            "\U0001f600", "\uffff",
+        ]
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            frozenset({3, 1, 2, -7, 10}),
+            frozenset({1.5, -0.25, 2.0, 1e300}),
+            frozenset({True, False, None}),
+            frozenset({1, "a", "b"}),  # mixed: ints and strings
+            frozenset({None, "x", 2.5}),
+            frozenset({(1, 2), (0, "a"), "a"}),  # tuples encode to markers
+            frozenset({(0, 3), (0, 2), (1,)}),
+            frozenset({frozenset({"q", "r"}), "q"}),
+        ],
+    )
+    def test_other_sets_keep_the_json_keyed_sort(self, members):
+        assert _sorted_encoded(members) == sorted_encoded_reference(members)
+        assert decode_payload(encode_payload(members)) == members
+
+    def test_only_non_string_sets_call_json_dumps(self, monkeypatch):
+        calls = []
+        real = json.dumps
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(events_module.json, "dumps", counting)
+        events_module._sorted_encoded(frozenset({"b", "a", "a "}))
+        assert calls == []
+        events_module._sorted_encoded(frozenset({"b", 1, "a"}))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"__frozenset__": ["a", "b", "\u00e9", "\U0001f600"]},
+            {"__set__": ["a", "b", "c"]},
+            {"__frozenset__": [1, 2.5, True, None, "x", 0, False]},
+            {"__set__": [1, 1.0, True, "1"]},
+            {"__frozenset__": []},
+            {"__set__": []},
+            {"__frozenset__": [{"__tuple__": [1, 2]}, {"__tuple__": [0, "a"]}, "z"]},
+            {"__set__": [{"__frozenset__": ["p", "q"]}, {"__tuple__": []}]},
+            {"__tuple__": [{"__frozenset__": ["a", 1]}, [1, {"__set__": [2]}]]},
+            [{"__frozenset__": ["a"]}, {"__set__": [3, 4]}, "s", [1, 2]],
+        ],
+    )
+    def test_decode_matches_member_by_member_decoding(self, data):
+        got = decode_payload(data)
+        want = decode_reference(data)
+        assert got == want
+        assert type(got) is type(want)
+        if isinstance(got, (set, frozenset)):
+            assert sorted(map(repr, got)) == sorted(map(repr, want))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"__frozenset__": ["a", [1, 2]]},
+            {"__set__": [[1], [2]]},
+            {"__frozenset__": [{"__ndarray__": [1.0], "dtype": "float64"}]},
+            {"__set__": [{"__tuple__": [[1]]}]},
+        ],
+    )
+    def test_unhashable_members_still_fail_like_before(self, data):
+        with pytest.raises(TypeError):
+            decode_reference(data)
+        with pytest.raises(TypeError):
+            decode_payload(data)
+
+    def test_unknown_marker_inside_a_set_still_fails(self):
+        with pytest.raises(ValueError):
+            decode_payload({"__set__": [{"__bogus__": 1}]})
+
+
+#: sha256 of the WAL that :func:`write_cora_wal` writes, recorded from the
+#: codec that sorted set members by per-member ``json.dumps``.
+CORA_WAL_SHA256 = "11214806b9fbb4c6f711a76e081c9510d6245e671d5bd0c512416946c4649f62"
+
+
+def write_cora_wal(path) -> list[Operation]:
+    """Append a fixed Cora op sequence (adds, updates, removes, flush
+    markers; tenant, shard and ingest stamps) in chunks; returns the
+    logged operations."""
+    dataset = generate_cora(n_entities=30, n_duplicates=90, seed=11)
+    records = dataset.records
+    rng = np.random.default_rng(11)
+    ops = []
+    for index, record in enumerate(records):
+        stamp = dict(shard=index % 3, ingest_ts=1_700_000_000.25 + index / 8)
+        tenant = f"t{index % 4}"
+        ops.append(add(record.id, record.payload).with_tenant(tenant))
+        if index % 5 == 4:
+            other = records[int(rng.integers(len(records)))]
+            ops.append(update(record.id, other.payload).with_tenant(tenant))
+        if index % 7 == 6:
+            ops.append(remove(records[index - 3].id).with_tenant(tenant))
+        if index % 11 == 10:
+            ops.append(Operation("flush", 0, tenant=tenant))
+        ops[-1] = Operation(
+            ops[-1].kind, ops[-1].obj_id, ops[-1].payload, tenant=tenant, **stamp
+        )
+    # A few adversarial token sets ride along: JSON order != code-point order.
+    for offset, members in enumerate(adversarial_sets(n_sets=12, seed=5)):
+        ops.append(add(10_000 + offset, members).with_ingest_ts(1_700_000_100.5))
+    ops.append(update(10_000, set(adversarial_sets(n_sets=1, seed=6)[0])))
+    written = []
+    with OperationLog(path) as log:
+        for start in range(0, len(ops), 9):
+            written += log.append(ops[start : start + 9])
+    return written
+
+
+def test_cora_wal_bytes_are_unchanged(tmp_path):
+    path = tmp_path / "oplog.jsonl"
+    written = write_cora_wal(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CORA_WAL_SHA256
+    # And the log decodes back to the operations written.
+    with OperationLog(path) as log:
+        assert list(log.iter_from()) == written

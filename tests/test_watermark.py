@@ -20,6 +20,7 @@ from repro.clustering.objectives import DBIndexObjective
 from repro.core import DynamicC
 from repro.data.generators import generate_access
 from repro.data.workload import OperationMix, build_workload
+from repro.obs import Telemetry
 from repro.replica import (
     InProcessTransport,
     LogSegment,
@@ -27,6 +28,7 @@ from repro.replica import (
     ReadReplica,
     SnapshotArtifact,
 )
+from repro.serve import Service
 from repro.stream import ClusteringService, StreamConfig, add
 from repro.stream.events import Operation
 from repro.stream.oplog import open_log
@@ -133,6 +135,92 @@ class TestServiceStamping:
             make_factory(dataset), config(tmp_path)
         )
         assert recovered.applied_watermark_ts == watermark
+        recovered.close()
+
+
+class TestPoolCommitWatermarkAndLastSeq:
+    """Services without an oplog of their own (tenant pools, replicas)
+    report the commit watermark they were given and the seq of the
+    newest operation they were handed."""
+
+    @staticmethod
+    def open_service(dataset, tmp_path, **overrides):
+        settings = dict(n_shards=2, batch_max_ops=16, train_rounds=2)
+        settings.update(overrides)
+        return Service.open(
+            engine_factory=make_factory(dataset), root_dir=tmp_path, **settings
+        )
+
+    @pytest.mark.parametrize("setting", ("off", "on"))
+    def test_tenant_pool_reports_the_commit_watermark(
+        self, dataset, events, tmp_path, setting
+    ):
+        telemetry = Telemetry() if setting == "on" else None
+        service = self.open_service(
+            dataset, tmp_path, telemetry=telemetry, max_resident_tenants=1
+        )
+        handle = service.tenant("t")
+        ops = [op.with_ingest_ts(5000.0 + i) for i, op in enumerate(events[:40])]
+        handle.ingest(ops[:25])
+        assert handle.stats()["commit_watermark_ts"] == 5024.0
+        handle.ingest(ops[25:])
+
+        def check():
+            assert handle.stats()["commit_watermark_ts"] == 5039.0
+            if telemetry is not None:
+                gauges = telemetry.snapshot()["metrics"]["commit_watermark_ts"]
+                assert gauges["replica=serve:t"] == 5039.0
+
+        check()
+        # A reloaded pool keeps it: from the replayed suffix (8 writes
+        # pending at eviction), then, once everything was applied, from
+        # the checkpoint's applied watermark.
+        other = [op.with_ingest_ts(6000.0) for op in events[40:45]]
+        service.tenant("u").ingest(other)  # evicts t
+        handle.cluster_of(events[0].obj_id)  # reloads t
+        check()
+        handle.flush()
+        service.tenant("u").ingest(other[:1])
+        handle.cluster_of(events[0].obj_id)
+        check()
+        service.close()
+
+    def test_last_seq_follows_the_operations_handed_in(
+        self, dataset, events, tmp_path
+    ):
+        service = self.open_service(dataset, tmp_path, max_resident_tenants=1)
+        a, b = service.tenant("a"), service.tenant("b")
+        a.ingest(events[:30])
+        b.ingest(events[30:50])  # evicts a
+        a.ingest(events[50:60])  # reactivates a, evicts b
+        stats = a.stats()
+        # Seqs 51-60 went to a, after b's 31-50.
+        assert stats["last_seq"] == 60
+        assert stats["last_seq"] >= stats["applied_seq"]
+        replica = a.add_replica(name="a-r0")
+        a.ingest(events[60:70])
+        a.flush()  # a tenant-stamped flush marker: seq 71
+        service.sync()
+        assert a.stats()["last_seq"] == 71
+        replica_stats = replica.stats()
+        assert replica_stats["last_seq"] == 71
+        assert replica_stats["last_seq"] >= replica_stats["applied_seq"] > 0
+        service.close()
+
+    def test_recovered_service_without_oplog_starts_at_applied_seq(
+        self, dataset, events, tmp_path
+    ):
+        cfg = config(checkpoint_dir=tmp_path / "ckpt")
+        service = ClusteringService(make_factory(dataset), cfg)
+        service.ingest(events[:70])
+        service.checkpoint()
+        applied = service.applied_seq
+        assert applied == 64 and service.stats()["last_seq"] == 70
+        service.close()
+        recovered = ClusteringService.recover(make_factory(dataset), cfg)
+        assert recovered.stats()["last_seq"] == applied
+        recovered.ingest(events[70:72])
+        assert recovered.stats()["last_seq"] == applied + 2
         recovered.close()
 
 
